@@ -26,6 +26,12 @@ catalog::ReplicaHealth to_replica_health(tape::CartridgeHealth h) {
   }
   return catalog::ReplicaHealth::kGood;
 }
+
+/// The tape a repair job's current phase uses: the read source until the
+/// data is staged on disk, then the write target.
+TapeId active_tape(const RepairJob& job) {
+  return job.read_done ? job.target : job.source;
+}
 }  // namespace
 
 Status SimulatorConfig::try_validate() const {
@@ -188,17 +194,20 @@ void RetrievalSimulator::repair_drive(DriveId d) {
   if (config_.tracer != nullptr) {
     config_.tracer->marker(obs::Track::kDrive, d.value(), "repaired");
   }
-  // Give the drive work once the current dispatch settles. The event
-  // no-ops if some other path (a kick, a queue pull) got there first.
+  redispatch(d);
+}
+
+void RetrievalSimulator::redispatch(DriveId d) {
+  // The event no-ops if some other path (a kick, a queue pull) got there
+  // first, or if the drive failed again before it ran.
   engine_.schedule_in(Seconds{0.0}, [this, d]() {
-    DriveCtx& c = ctx_[d.index()];
-    if (c.busy) return;
+    if (ctx_[d.index()].busy) return;
     const tape::TapeDrive& dr = system_.drive(d);
-    if (dr.failed()) return;  // failed again before the event ran
+    if (dr.failed()) return;
     if (!dr.empty() && needed_.count(dr.mounted().value()) != 0) {
       serve_mounted(d);
     } else {
-      next_action(d);
+      next_action(d);  // pulls the lib queue, or falls back to background
     }
   });
 }
@@ -217,6 +226,7 @@ void RetrievalSimulator::on_drive_failure(DriveId d) {
   ServeChain& chain = chain_[d.index()];
   const Seconds now = engine_.now();
   const bool mid_activity = !(drive.idle() || drive.empty());
+  const bool mid_load = drive.state() == tape::DriveState::kLoading;
   const Seconds elapsed = mid_activity ? now - ctx.activity_start : Seconds{};
   const bool permanent = !fault_->next_online_at(d, now).has_value() ||
                          fault_->outage_is_permanent(d, now);
@@ -257,6 +267,12 @@ void RetrievalSimulator::on_drive_failure(DriveId d) {
   // each tail extent instead fails over to a surviving library or parks
   // until the restore.
   const TapeId stuck = drive.mounted();
+  if (mid_load && !system_.drive_holding(stuck).has_value()) {
+    // The cartridge is in the drive, but a mount registers only when the
+    // load completes. Register it now: the tape must not look free in its
+    // cell, and the drive unloads it after its repair.
+    system_.note_mounted(stuck, d);
+  }
   const bool lib_down = outage_active() && !system_.library_up(lib_id);
   if (chain.active) {
     TAPESIM_ASSERT(stuck.valid());
@@ -294,20 +310,8 @@ void RetrievalSimulator::on_drive_failure(DriveId d) {
   // A repair job loses its drive: requeue it (staged data survives on
   // disk) or abandon it if it keeps drawing failures.
   if (ctx.repair.has_value()) {
-    RepairJob job = std::move(*ctx.repair);
-    ctx.repair.reset();
-    --active_repairs_;
-    const TapeId claimed = job.read_done ? job.target : job.source;
-    if (job.target.valid()) {
-      repair_writing_.erase(job.target.value());
-      job.target = TapeId{};
-    }
-    if (!job.read_done) job.source = TapeId{};
-    ++job.attempts;
-    if (job.attempts >= kMaxRepairAttempts) {
-      abandon_repair(std::move(job));
-    } else {
-      repair_queue_.push_back(std::move(job));
+    const TapeId claimed = active_tape(*ctx.repair);
+    if (requeue_repair(unseat_repair(d))) {
       engine_.schedule_in(Seconds{0.0}, [this]() { pump_repairs(); });
     }
     // The claimed tape may be foreground demand that skipped the queue
@@ -318,23 +322,7 @@ void RetrievalSimulator::on_drive_failure(DriveId d) {
 
   // A scrub pass loses its drive: the pass aborts (findings were already
   // applied at segment boundaries) and the tape becomes due again later.
-  if (ctx.scrub.has_value()) {
-    const ScrubJob job = *ctx.scrub;
-    ctx.scrub.reset();
-    --active_scrubs_;
-    ++scrub_stats_.passes_aborted;
-    scrub_stats_.bytes_verified += job.verified;
-    scrub_stats_.latent_found += job.found;
-    if (config_.tracer != nullptr) {
-      config_.tracer->record(obs::Span{
-          obs::Track::kScrub, job.tape.value(), obs::Phase::kScrub,
-          job.started, now, RequestId{}, job.tape, "aborted: drive failed"});
-      config_.tracer->registry().counter("scrub.verified_bytes")
-          .inc(job.verified);
-      config_.tracer->registry().counter("scrub.latent_found").inc(job.found);
-    }
-    requeue_if_needed(job.tape);
-  }
+  if (ctx.scrub.has_value()) end_scrub_pass(d, ScrubEnd::kDriveFailed);
 
   // A needed cartridge stuck in the failed drive must be extracted by the
   // robot before anyone else can serve it (once the library, and thus its
@@ -1449,10 +1437,7 @@ void RetrievalSimulator::on_mount_failure(DriveId d, TapeId target) {
   ctx.switch_target = TapeId{};
   ctx.mount_retries = 0;
   const LibraryId lib_id = system_.library_of_drive(d);
-  tape::TapeLibrary& lib = system_.library(lib_id);
-  auto return_done = [this, d, target, tape_exhausted, lib_id, &lib]() {
-    lib.robot().release();
-    ctx_[d.index()].robot_held = false;
+  return_to_cell(d, [this, d, target, tape_exhausted, lib_id]() {
     ctx_[d.index()].busy = false;
     if (expired_) {
       // The request gave up on this cartridge at its deadline; it goes
@@ -1463,19 +1448,28 @@ void RetrievalSimulator::on_mount_failure(DriveId d, TapeId target) {
       lib_queue_[system_.library_of_tape(target).index()].push_front(target);
     }
     ensure_progress(lib_id);
-  };
-  auto do_return = [this, &lib, return_done]() {
+  });
+}
+
+template <typename Done>
+void RetrievalSimulator::return_to_cell(DriveId d, Done done) {
+  tape::TapeLibrary& lib = system_.library(system_.library_of_drive(d));
+  auto carry = [this, d, &lib, done = std::move(done)]() mutable {
     const Seconds move = robot_move_delay(lib, lib.robot_move_time());
-    engine_.schedule_in(move, return_done);
-  };
-  if (ctx.robot_held) {
-    do_return();
-  } else {
-    lib.robot().acquire([this, d, do_return]() {
-      ctx_[d.index()].robot_held = true;
-      do_return();
+    engine_.schedule_in(move, [this, d, &lib, done = std::move(done)]() mutable {
+      lib.robot().release();
+      ctx_[d.index()].robot_held = false;
+      done();
     });
+  };
+  if (ctx_[d.index()].robot_held) {
+    carry();
+    return;
   }
+  lib.robot().acquire([this, d, carry = std::move(carry)]() mutable {
+    ctx_[d.index()].robot_held = true;
+    carry();
+  });
 }
 
 // --- gray-failure mitigation --------------------------------------------
@@ -1847,13 +1841,13 @@ void RetrievalSimulator::cancel_hedge_loser(ObjectId obj, TapeId loser) {
       auto& queue = lib_queue_[lib_id.index()];
       const auto q = std::find(queue.begin(), queue.end(), loser);
       if (q != queue.end()) queue.erase(q);
-      for (DriveCtx& c : ctx_) {
-        if (c.switch_target != loser) continue;
-        if (c.robot_ticket == sim::Resource::kInvalidTicket) continue;
-        // Still in the robot's queue: withdraw the switch outright. Once
-        // the grant fired the exchange completes and the mounted cartridge
-        // simply finds no demand.
-        if (system_.library(lib_id).robot().cancel(c.robot_ticket)) {
+      // A switch still in the robot's queue is withdrawn outright. Once
+      // the grant fired the exchange completes and the mounted cartridge
+      // simply finds no demand.
+      if (const DriveId f = claim_holder(loser, kSwitchClaim); f.valid()) {
+        DriveCtx& c = ctx_[f.index()];
+        if (c.robot_ticket != sim::Resource::kInvalidTicket &&
+            system_.library(lib_id).robot().cancel(c.robot_ticket)) {
           c.robot_ticket = sim::Resource::kInvalidTicket;
           c.switch_target = TapeId{};
           c.busy = false;
@@ -2023,9 +2017,12 @@ void RetrievalSimulator::park_extent(const catalog::ObjectRecord& copy) {
       catalog::TapeExtent{copy.object, copy.offset, copy.size});
   ++outage_stats_.extents_parked;
   ++extents_parked_this_request_;
-  // Arms the restore watch via ensure_progress (no-op if the cartridge is
-  // stuck in a downed drive — the parked-work scan covers that case).
   requeue_if_needed(copy.tape);
+  // The restore watch must be armed even when requeue_if_needed stops at
+  // a holder (the cartridge sits in a failed drive of the downed library):
+  // otherwise the event loop goes idle with the extent unserved.
+  const LibraryId lib = system_.library_of_tape(copy.tape);
+  engine_.schedule_in(Seconds{0.0}, [this, lib]() { ensure_progress(lib); });
 }
 
 void RetrievalSimulator::route_extent(const catalog::ObjectRecord& alt) {
@@ -2052,14 +2049,9 @@ void RetrievalSimulator::route_extent(const catalog::ObjectRecord& alt) {
     return;
   }
   // A mount of this tape may already be en route (complete_tape_unavailable
-  // drops demand, not in-flight switches); queueing it again would mount
-  // the cartridge twice.
-  for (const DriveCtx& c : ctx_) {
-    if (c.switch_target == tp) return;
-  }
-  if (repair_claimed(tp) || scrub_claimed(tp)) {
-    return;  // served when the background claim releases it
-  }
+  // drops demand, not in-flight switches), or a background job uses it and
+  // serves it on release; queueing it again would mount it twice.
+  if (claim_holder(tp, kSwitchClaim | kActiveClaim).valid()) return;
   const LibraryId lib = system_.library_of_tape(tp);
   lib_queue_[lib.index()].push_front(tp);  // failover priority
   engine_.schedule_in(Seconds{0.0}, [this, lib]() {
@@ -2146,25 +2138,27 @@ std::uint32_t RetrievalSimulator::repair_concurrency_cap() const {
                   config_.faults.outage.dr_max_concurrent);
 }
 
-bool RetrievalSimulator::repair_claimed(TapeId tp) const {
-  for (const DriveCtx& c : ctx_) {
-    if (!c.repair.has_value()) continue;
-    // Only the tape of the job's active phase is claimed; the read source
-    // of a write-phase job is free again.
-    const TapeId using_tp = c.repair->read_done ? c.repair->target
-                                                : c.repair->source;
-    if (using_tp == tp) return true;
+DriveId RetrievalSimulator::claim_holder(TapeId tp, unsigned kinds,
+                                         DriveId self) const {
+  for (std::uint32_t i = 0; i < ctx_.size(); ++i) {
+    if (DriveId{i} == self) continue;
+    const DriveCtx& c = ctx_[i];
+    unsigned held = 0;
+    if (c.switch_target == tp) held |= kSwitchClaim;
+    if (c.scrub.has_value() && c.scrub->tape == tp) held |= kActiveClaim;
+    if (c.repair.has_value()) {
+      if (active_tape(*c.repair) == tp) held |= kActiveClaim;
+      if (c.repair->read_done && c.repair->source == tp) held |= kStagedClaim;
+    }
+    if ((held & kinds) != 0) return DriveId{i};
   }
-  return false;
+  return DriveId{};
 }
 
 void RetrievalSimulator::requeue_if_needed(TapeId tp) {
   if (!tp.valid() || needed_.count(tp.value()) == 0) return;
   if (system_.drive_holding(tp).has_value()) return;
-  for (const DriveCtx& c : ctx_) {
-    if (c.switch_target == tp) return;
-  }
-  if (repair_claimed(tp) || scrub_claimed(tp)) return;
+  if (claim_holder(tp, kSwitchClaim | kActiveClaim).valid()) return;
   const LibraryId lib = system_.library_of_tape(tp);
   auto& queue = lib_queue_[lib.index()];
   if (std::find(queue.begin(), queue.end(), tp) != queue.end()) return;
@@ -2173,20 +2167,6 @@ void RetrievalSimulator::requeue_if_needed(TapeId tp) {
     kick_idle_drives(lib);
     ensure_progress(lib);
   });
-}
-
-bool RetrievalSimulator::tape_claimed(TapeId tp, DriveId self) const {
-  for (std::uint32_t i = 0; i < ctx_.size(); ++i) {
-    if (DriveId{i} == self) continue;
-    const DriveCtx& c = ctx_[i];
-    if (c.switch_target == tp) return true;
-    if (c.repair.has_value() &&
-        (c.repair->source == tp || c.repair->target == tp)) {
-      return true;
-    }
-    if (c.scrub.has_value() && c.scrub->tape == tp) return true;
-  }
-  return false;
 }
 
 const catalog::ObjectRecord* RetrievalSimulator::pick_repair_source(
@@ -2207,7 +2187,7 @@ const catalog::ObjectRecord* RetrievalSimulator::pick_repair_source(
     if (h == catalog::ReplicaHealth::kLost) return;
     const auto holder = system_.drive_holding(copy.tape);
     if (holder.has_value() && *holder != d) return;  // mounted elsewhere
-    if (tape_claimed(copy.tape, d)) return;
+    if (claim_holder(copy.tape, kAnyClaim, d).valid()) return;
     if (needed_.count(copy.tape.value()) != 0) return;  // foreground owns it
     // Good media beats degraded; already mounted on this drive beats a
     // switch.
@@ -2282,7 +2262,6 @@ TapeId RetrievalSimulator::pick_repair_target(DriveId d,
     if (catalog_.tape_retired(t) || evacuating_.count(t.value()) != 0) {
       return false;
     }
-    if (repair_writing_.count(t.value()) != 0) return false;
     if (needed_.count(t.value()) != 0) return false;  // foreground demand
     if (holds_copy(t)) return false;
     if (catalog_.used_on(t) + job.size >
@@ -2291,8 +2270,7 @@ TapeId RetrievalSimulator::pick_repair_target(DriveId d,
     }
     const auto holder = system_.drive_holding(t);
     if (holder.has_value() && *holder != d) return false;
-    if (tape_claimed(t, d)) return false;
-    return true;
+    return !claim_holder(t, kAnyClaim, d).valid();
   };
   // The tape already in the drive avoids a whole switch.
   const tape::TapeDrive& drive = system_.drive(d);
@@ -2308,30 +2286,36 @@ TapeId RetrievalSimulator::pick_repair_target(DriveId d,
   return TapeId{};
 }
 
+bool RetrievalSimulator::may_start_background(DriveId d) {
+  if (!switch_eligible(d)) return false;
+  const DriveCtx& ctx = ctx_[d.index()];
+  if (ctx.busy || ctx.recovery_pending) return false;
+  if (!drive_available(d)) return false;
+  // Quarantined drives take no background work either; next_repair_wake
+  // covers their release so drain_repairs keeps waiting instead of
+  // abandoning jobs. An open drive breaker likewise rules out volunteering.
+  if (detector_active() && drive_quarantined(d)) return false;
+  if (governor_.enabled() &&
+      governor_.breaker_blocked(BreakerScope::kDrive,
+                                static_cast<std::uint32_t>(d.index()),
+                                engine_.now())) {
+    return false;
+  }
+  const tape::TapeDrive& drive = system_.drive(d);
+  if (!(drive.idle() || drive.empty())) return false;
+  if (!drive.empty() && needed_.count(drive.mounted().value()) != 0) {
+    return false;
+  }
+  return lib_queue_[system_.library_of_drive(d).index()].empty();
+}
+
 void RetrievalSimulator::maybe_start_repair(DriveId d) {
   if (!copy_engine_active() || repair_queue_.empty()) return;
   // Under overload pressure every idle drive belongs to the foreground;
   // repair jobs keep their queue slots and resume when pressure clears.
   if (overload_pressure_) return;
   if (active_repairs_ >= repair_concurrency_cap()) return;
-  if (!switch_eligible(d)) return;
-  DriveCtx& ctx = ctx_[d.index()];
-  if (ctx.busy || ctx.recovery_pending) return;
-  if (!drive_available(d)) return;
-  // Quarantined drives take no background copies either; next_repair_wake
-  // covers their release so drain_repairs keeps waiting instead of
-  // abandoning jobs. An open drive breaker likewise rules out volunteering.
-  if (detector_active() && drive_quarantined(d)) return;
-  if (governor_.enabled() &&
-      governor_.breaker_blocked(BreakerScope::kDrive,
-                                static_cast<std::uint32_t>(d.index()),
-                                engine_.now())) {
-    return;
-  }
-  const tape::TapeDrive& drive = system_.drive(d);
-  if (!(drive.idle() || drive.empty())) return;
-  if (!drive.empty() && needed_.count(drive.mounted().value()) != 0) return;
-  if (!lib_queue_[system_.library_of_drive(d).index()].empty()) return;
+  if (!may_start_background(d)) return;
   for (auto it = repair_queue_.begin(); it != repair_queue_.end();) {
     if (!it->read_done && catalog_.best_replica(it->object) == nullptr) {
       // Every copy is lost; the object cannot be re-replicated.
@@ -2347,7 +2331,6 @@ void RetrievalSimulator::maybe_start_repair(DriveId d) {
         repair_queue_.erase(it);
         job.target = target;
         job.write_offset = catalog_.used_on(target);
-        repair_writing_.insert(target.value());
         start_repair(d, std::move(job));
         return;
       }
@@ -2372,26 +2355,15 @@ void RetrievalSimulator::start_repair(DriveId d, RepairJob job) {
     job.has_started = true;
     job.started = engine_.now();
   }
-  const bool writing = job.read_done;
-  const TapeId tp = writing ? job.target : job.source;
+  const TapeId tp = active_tape(job);
   ctx.repair = std::move(job);
   ++active_repairs_;
   const tape::TapeDrive& drive = system_.drive(d);
   if (!drive.empty() && drive.mounted() == tp) {
-    if (writing) {
-      repair_write_locate(d);
-    } else {
-      repair_read(d);
-    }
+    repair_locate(d);
     return;
   }
-  repair_mount(d, tp, [this, d, writing]() {
-    if (writing) {
-      repair_write_locate(d);
-    } else {
-      repair_read(d);
-    }
-  });
+  repair_mount(d, tp, [this, d]() { repair_locate(d); });
 }
 
 void RetrievalSimulator::repair_mount(DriveId d, TapeId target,
@@ -2425,11 +2397,7 @@ void RetrievalSimulator::repair_mount(DriveId d, TapeId target,
           schedule_activity(d, load, [this, d, target, &lib, then]() {
             if (fault_ != nullptr &&
                 fault_->mount_attempt_fails(d, engine_.now())) {
-              if (ctx_[d.index()].scrub.has_value()) {
-                scrub_mount_failure(d);
-              } else {
-                repair_mount_failure(d);
-              }
+              background_mount_failure(d);
               return;
             }
             if (config_.robot_holds_load) {
@@ -2469,60 +2437,38 @@ void RetrievalSimulator::repair_mount(DriveId d, TapeId target,
   });
 }
 
-void RetrievalSimulator::repair_mount_failure(DriveId d) {
+void RetrievalSimulator::background_mount_failure(DriveId d) {
   DriveCtx& ctx = ctx_[d.index()];
-  TAPESIM_ASSERT(ctx.repair.has_value());
   system_.drive(d).fail_load();
+  if (ctx.scrub.has_value()) {
+    if (config_.tracer != nullptr) {
+      config_.tracer->marker(obs::Track::kDrive, d.value(),
+                             "mount failure during scrub");
+    }
+    // The pass aborts and the tape stays due (no last_scrub_ update), so a
+    // later drive retries it.
+    return_to_cell(d, [this, d]() { end_scrub_pass(d, ScrubEnd::kAborted); });
+    return;
+  }
   if (config_.tracer != nullptr) {
     config_.tracer->marker(obs::Track::kDrive, d.value(),
                            "mount failure during repair");
   }
-  RepairJob job = std::move(*ctx.repair);
-  ctx.repair.reset();
-  --active_repairs_;
-  const TapeId attempted = job.read_done ? job.target : job.source;
-  if (job.target.valid()) {
-    repair_writing_.erase(job.target.value());
-    job.target = TapeId{};
-  }
-  if (!job.read_done) job.source = TapeId{};
-  ++job.attempts;
-  const bool keep = job.attempts < kMaxRepairAttempts;
-  tape::TapeLibrary& lib = system_.library(system_.library_of_drive(d));
-  // The robot returns the unthreadable cartridge to its cell; a repair
-  // job gets no retry ladder — it just goes to the back of the queue.
-  auto return_done = [this, d, &lib, job = std::move(job), keep,
-                      attempted]() mutable {
-    lib.robot().release();
-    ctx_[d.index()].robot_held = false;
+  // A repair job gets no retry ladder: it goes to the back of the queue
+  // once the cartridge is back in its cell.
+  const TapeId attempted = active_tape(*ctx.repair);
+  return_to_cell(d, [this, d, job = unseat_repair(d), attempted]() mutable {
     ctx_[d.index()].busy = false;
-    if (keep) {
-      repair_queue_.push_back(std::move(job));
-    } else {
-      abandon_repair(std::move(job));
-    }
+    requeue_repair(std::move(job));
     requeue_if_needed(attempted);
     release_repair_drive(d);
-  };
-  auto do_return = [this, &lib, return_done = std::move(return_done)]() mutable {
-    const Seconds move = robot_move_delay(lib, lib.robot_move_time());
-    engine_.schedule_in(move, std::move(return_done));
-  };
-  if (ctx.robot_held) {
-    do_return();
-  } else {
-    lib.robot().acquire([this, d, do_return = std::move(do_return)]() mutable {
-      ctx_[d.index()].robot_held = true;
-      do_return();
-    });
-  }
+  });
 }
 
-void RetrievalSimulator::repair_read(DriveId d) {
-  DriveCtx& ctx = ctx_[d.index()];
-  TAPESIM_ASSERT(ctx.repair.has_value());
-  tape::TapeDrive& drive = system_.drive(d);
-  const Seconds locate = drive.start_locate(ctx.repair->source_offset);
+void RetrievalSimulator::repair_locate(DriveId d) {
+  const RepairJob& job = *ctx_[d.index()].repair;
+  const Seconds locate = system_.drive(d).start_locate(
+      job.read_done ? job.write_offset : job.source_offset);
   schedule_activity(d, locate, [this, d]() {
     system_.drive(d).finish_locate();
     disk_streams_.acquire([this, d]() {
@@ -2533,45 +2479,75 @@ void RetrievalSimulator::repair_read(DriveId d) {
         on_drive_failure(d);
         return;
       }
-      repair_read_transfer(d);
+      repair_transfer(d);
     });
   });
 }
 
-void RetrievalSimulator::repair_read_transfer(DriveId d) {
-  DriveCtx& ctx = ctx_[d.index()];
-  RepairJob& job = *ctx.repair;
-  tape::TapeDrive& drive = system_.drive(d);
-  const TapeId tp = job.source;
-  const Seconds xfer = drive.start_transfer(
+void RetrievalSimulator::repair_transfer(DriveId d) {
+  const RepairJob& job = *ctx_[d.index()].repair;
+  if (!job.read_done) {
+    // Repair reads suffer media errors and drive failures like any other
+    // read.
+    background_read(
+        d, job.source, job.size,
+        [this, d](Seconds xfer) { repair_stream_done(d, xfer); },
+        &RetrievalSimulator::repair_media_error);
+    return;
+  }
+  // Writes go to a healthy tape: no media-error draw (the error model is
+  // a per-read draw), but the drive can still die mid-write.
+  const Seconds xfer = system_.drive(d).start_transfer(
       job.size, fault_->drive_rate_multiplier(d, engine_.now()));
-  ctx.activity_start = engine_.now();
-  auto complete = [this, d, xfer]() {
-    disk_streams_.release();
-    ctx_[d.index()].disk_held = false;
-    system_.drive(d).finish_transfer();
-    repair_pace(d, xfer, [this, d]() { finish_repair_read(d); });
-  };
-  // Repair reads suffer media errors and drive failures like any other
-  // read; mirror begin_transfer's precedence (hardware beats media).
+  schedule_activity(d, xfer,
+                    [this, d, xfer]() { repair_stream_done(d, xfer); });
+}
+
+void RetrievalSimulator::repair_stream_done(DriveId d, Seconds xfer) {
+  disk_streams_.release();
+  ctx_[d.index()].disk_held = false;
+  system_.drive(d).finish_transfer();
+  const RepairJob& job = *ctx_[d.index()].repair;
+  // Under metastable shedding the governor clamps repair/DR bandwidth so
+  // recovery work stops competing with collapsing foreground goodput.
+  const double fraction = (job.dr_from.valid()
+                               ? config_.faults.outage.dr_bandwidth_fraction
+                               : config_.repair.bandwidth_fraction) *
+                          governor_.repair_clamp();
+  if (job.read_done) {
+    background_pace(d, xfer, fraction, [this, d]() { complete_repair(d); });
+  } else {
+    background_pace(d, xfer, fraction, [this, d]() { finish_repair_read(d); });
+  }
+}
+
+template <typename Done>
+void RetrievalSimulator::background_read(
+    DriveId d, TapeId tp, Bytes size, Done done,
+    void (RetrievalSimulator::*on_error)(DriveId)) {
+  const Seconds xfer = system_.drive(d).start_transfer(
+      size, fault_->drive_rate_multiplier(d, engine_.now()));
+  ctx_[d.index()].activity_start = engine_.now();
+  auto complete = [done = std::move(done), xfer]() mutable { done(xfer); };
   std::optional<Seconds> media_at;
-  if (const auto frac =
-          fault_->media_error(tp, job.size, system_.cartridge_health(tp),
-                              engine_.now())) {
+  if (const auto frac = fault_->media_error(
+          tp, size, system_.cartridge_health(tp), engine_.now())) {
     media_at = xfer * *frac;
   }
   const Seconds horizon = media_at.has_value() ? *media_at : xfer;
   if (const auto fail_after =
           fault_->failure_within(d, engine_.now(), horizon)) {
-    const sim::EventId done = engine_.schedule_in(xfer, std::move(complete));
-    engine_.schedule_in(*fail_after, [this, d, done]() {
-      engine_.cancel(done);
+    const sim::EventId finish = engine_.schedule_in(xfer, std::move(complete));
+    engine_.schedule_in(*fail_after, [this, d, finish]() {
+      engine_.cancel(finish);
       on_drive_failure(d);
     });
     return;
   }
   if (media_at.has_value()) {
-    engine_.schedule_in(*media_at, [this, d]() { repair_media_error(d); });
+    engine_.schedule_in(*media_at, [this, d, on_error]() {
+      (this->*on_error)(d);
+    });
     return;
   }
   engine_.schedule_in(xfer, std::move(complete));
@@ -2595,17 +2571,10 @@ void RetrievalSimulator::repair_media_error(DriveId d) {
                            "media error during repair on tape " +
                                std::to_string(tp.value()));
   }
-  RepairJob job = std::move(*ctx.repair);
-  ctx.repair.reset();
-  --active_repairs_;
   ctx.busy = false;
-  job.source = TapeId{};  // re-pick: this copy may have just degraded
-  ++job.attempts;
-  if (job.attempts >= kMaxRepairAttempts) {
-    abandon_repair(std::move(job));
-  } else {
-    repair_queue_.push_back(std::move(job));
-  }
+  // The restarted job re-picks its source: this copy may have just
+  // degraded.
+  requeue_repair(unseat_repair(d));
   release_repair_drive(d);
 }
 
@@ -2621,53 +2590,6 @@ void RetrievalSimulator::finish_repair_read(DriveId d) {
   // the front of the queue (usually a drive in another library takes it).
   repair_queue_.push_front(std::move(job));
   release_repair_drive(d);
-}
-
-void RetrievalSimulator::repair_write_locate(DriveId d) {
-  DriveCtx& ctx = ctx_[d.index()];
-  TAPESIM_ASSERT(ctx.repair.has_value());
-  tape::TapeDrive& drive = system_.drive(d);
-  const Seconds locate = drive.start_locate(ctx.repair->write_offset);
-  schedule_activity(d, locate, [this, d]() {
-    system_.drive(d).finish_locate();
-    disk_streams_.acquire([this, d]() {
-      ctx_[d.index()].disk_held = true;
-      if (fault_ != nullptr && !fault_->drive_online(d, engine_.now())) {
-        disk_streams_.release();
-        ctx_[d.index()].disk_held = false;
-        on_drive_failure(d);
-        return;
-      }
-      repair_write_transfer(d);
-    });
-  });
-}
-
-void RetrievalSimulator::repair_write_transfer(DriveId d) {
-  DriveCtx& ctx = ctx_[d.index()];
-  RepairJob& job = *ctx.repair;
-  tape::TapeDrive& drive = system_.drive(d);
-  const Seconds xfer = drive.start_transfer(
-      job.size, fault_->drive_rate_multiplier(d, engine_.now()));
-  ctx.activity_start = engine_.now();
-  auto complete = [this, d, xfer]() {
-    disk_streams_.release();
-    ctx_[d.index()].disk_held = false;
-    system_.drive(d).finish_transfer();
-    repair_pace(d, xfer, [this, d]() { complete_repair(d); });
-  };
-  // Writes go to a healthy tape: no media-error draw (the error model is
-  // a per-read draw), but the drive can still die mid-write.
-  if (const auto fail_after =
-          fault_->failure_within(d, engine_.now(), xfer)) {
-    const sim::EventId done = engine_.schedule_in(xfer, std::move(complete));
-    engine_.schedule_in(*fail_after, [this, d, done]() {
-      engine_.cancel(done);
-      on_drive_failure(d);
-    });
-    return;
-  }
-  engine_.schedule_in(xfer, std::move(complete));
 }
 
 void RetrievalSimulator::background_pace(DriveId d, Seconds xfer,
@@ -2690,19 +2612,6 @@ void RetrievalSimulator::background_pace(DriveId d, Seconds xfer,
   });
 }
 
-void RetrievalSimulator::repair_pace(DriveId d, Seconds xfer,
-                                     std::function<void()> next) {
-  const DriveCtx& ctx = ctx_[d.index()];
-  const bool dr = ctx.repair.has_value() && ctx.repair->dr_from.valid();
-  // Under metastable shedding the governor clamps repair/DR bandwidth so
-  // recovery work stops competing with collapsing foreground goodput.
-  background_pace(d, xfer,
-                  (dr ? config_.faults.outage.dr_bandwidth_fraction
-                      : config_.repair.bandwidth_fraction) *
-                      governor_.repair_clamp(),
-                  std::move(next));
-}
-
 void RetrievalSimulator::complete_repair(DriveId d) {
   DriveCtx& ctx = ctx_[d.index()];
   TAPESIM_ASSERT(ctx.repair.has_value());
@@ -2720,7 +2629,6 @@ void RetrievalSimulator::complete_repair(DriveId d) {
                               job.write_offset},
         engine_.now());
   }
-  repair_writing_.erase(job.target.value());
   const auto it = repair_pending_.find(job.object.value());
   TAPESIM_ASSERT(it != repair_pending_.end() && it->second > 0);
   if (--it->second == 0) repair_pending_.erase(it);
@@ -2753,9 +2661,29 @@ void RetrievalSimulator::complete_repair(DriveId d) {
   release_repair_drive(d);
 }
 
+RepairJob RetrievalSimulator::unseat_repair(DriveId d) {
+  DriveCtx& ctx = ctx_[d.index()];
+  TAPESIM_ASSERT(ctx.repair.has_value());
+  RepairJob job = std::move(*ctx.repair);
+  ctx.repair.reset();
+  --active_repairs_;
+  job.target = TapeId{};
+  if (!job.read_done) job.source = TapeId{};
+  ++job.attempts;
+  return job;
+}
+
+bool RetrievalSimulator::requeue_repair(RepairJob job) {
+  if (job.attempts >= kMaxRepairAttempts) {
+    abandon_repair(std::move(job));
+    return false;
+  }
+  repair_queue_.push_back(std::move(job));
+  return true;
+}
+
 void RetrievalSimulator::abandon_repair(RepairJob job) {
   ++repair_stats_.jobs_abandoned;
-  if (job.target.valid()) repair_writing_.erase(job.target.value());
   const auto it = repair_pending_.find(job.object.value());
   TAPESIM_ASSERT(it != repair_pending_.end() && it->second > 0);
   if (--it->second == 0) repair_pending_.erase(it);
@@ -2769,18 +2697,8 @@ void RetrievalSimulator::abandon_repair(RepairJob job) {
 
 void RetrievalSimulator::release_repair_drive(DriveId d) {
   // Foreground work first: a tape this drive holds may have been demanded
-  // while the repair ran, or its library queue may have filled up.
-  engine_.schedule_in(Seconds{0.0}, [this, d]() {
-    DriveCtx& c = ctx_[d.index()];
-    if (c.busy) return;
-    const tape::TapeDrive& dr = system_.drive(d);
-    if (dr.failed()) return;
-    if (!dr.empty() && needed_.count(dr.mounted().value()) != 0) {
-      serve_mounted(d);
-      return;
-    }
-    next_action(d);  // pulls the lib queue, or falls back to more repair
-  });
+  // while the job ran, or its library queue may have filled up.
+  redispatch(d);
   engine_.schedule_in(Seconds{0.0}, [this]() { pump_repairs(); });
 }
 
@@ -2846,13 +2764,6 @@ void RetrievalSimulator::drain_repairs() {
 
 // --- background scrubbing -----------------------------------------------
 
-bool RetrievalSimulator::scrub_claimed(TapeId tp) const {
-  for (const DriveCtx& c : ctx_) {
-    if (c.scrub.has_value() && c.scrub->tape == tp) return true;
-  }
-  return false;
-}
-
 bool RetrievalSimulator::scrub_yield_needed(DriveId d) const {
   if (overload_pressure_) return true;
   if (governor_.scrub_paused()) return true;
@@ -2872,8 +2783,7 @@ TapeId RetrievalSimulator::pick_scrub_tape(DriveId d) const {
     if (needed_.count(t.value()) != 0) return false;  // foreground owns it
     const auto holder = system_.drive_holding(t);
     if (holder.has_value() && *holder != d) return false;
-    if (tape_claimed(t, d)) return false;
-    return true;
+    return !claim_holder(t, kAnyClaim, d).valid();
   };
   // The mounted cartridge skips the whole robot exchange; take it when due.
   const tape::TapeDrive& drive = system_.drive(d);
@@ -2905,21 +2815,7 @@ void RetrievalSimulator::maybe_start_scrub(DriveId d) {
   // amplification class, so it pauses before repair or budgets tighten.
   if (governor_.scrub_paused()) return;
   if (active_scrubs_ >= config_.scrub.max_concurrent) return;
-  if (!switch_eligible(d)) return;
-  DriveCtx& ctx = ctx_[d.index()];
-  if (ctx.busy || ctx.recovery_pending) return;
-  if (!drive_available(d)) return;
-  if (detector_active() && drive_quarantined(d)) return;
-  if (governor_.enabled() &&
-      governor_.breaker_blocked(BreakerScope::kDrive,
-                                static_cast<std::uint32_t>(d.index()),
-                                engine_.now())) {
-    return;
-  }
-  const tape::TapeDrive& drive = system_.drive(d);
-  if (!(drive.idle() || drive.empty())) return;
-  if (!drive.empty() && needed_.count(drive.mounted().value()) != 0) return;
-  if (!lib_queue_[system_.library_of_drive(d).index()].empty()) return;
+  if (!may_start_background(d)) return;
   const TapeId tp = pick_scrub_tape(d);
   if (!tp.valid()) return;
   start_scrub(d, tp);
@@ -2950,12 +2846,12 @@ void RetrievalSimulator::scrub_segment(DriveId d) {
     return;
   }
   if (scrub_yield_needed(d)) {
-    end_scrub_pass(d, /*completed=*/false);
+    end_scrub_pass(d, ScrubEnd::kAborted);
     return;
   }
   const ScrubJob& job = *ctx.scrub;
   if (job.next_offset >= job.end) {
-    end_scrub_pass(d, /*completed=*/true);
+    end_scrub_pass(d, ScrubEnd::kCompleted);
     return;
   }
   const Bytes seg{std::min(config_.scrub.segment.count(),
@@ -2964,49 +2860,18 @@ void RetrievalSimulator::scrub_segment(DriveId d) {
   const Seconds locate = drive.start_locate(job.next_offset);
   schedule_activity(d, locate, [this, d, seg]() {
     system_.drive(d).finish_locate();
-    scrub_transfer(d, seg);
+    // Verification is drive-internal (read + checksum): no staging-disk
+    // slot is held, so scrubbing never queues behind foreground streams.
+    // Latent decay damage does not interrupt the read (finding it is the
+    // point); it is folded in at the segment boundary instead.
+    background_read(
+        d, ctx_[d.index()].scrub->tape, seg,
+        [this, d, seg](Seconds xfer) {
+          system_.drive(d).finish_transfer();
+          scrub_segment_done(d, seg, xfer);
+        },
+        &RetrievalSimulator::scrub_media_error);
   });
-}
-
-void RetrievalSimulator::scrub_transfer(DriveId d, Bytes seg) {
-  DriveCtx& ctx = ctx_[d.index()];
-  TAPESIM_ASSERT(ctx.scrub.has_value());
-  const TapeId tp = ctx.scrub->tape;
-  tape::TapeDrive& drive = system_.drive(d);
-  const Seconds xfer = drive.start_transfer(
-      seg, fault_->drive_rate_multiplier(d, engine_.now()));
-  ctx.activity_start = engine_.now();
-  // Verification is drive-internal (read + checksum); no staging-disk slot
-  // is held, so scrubbing never queues behind foreground streams.
-  auto complete = [this, d, seg, xfer]() {
-    system_.drive(d).finish_transfer();
-    scrub_segment_done(d, seg, xfer);
-  };
-  // A verify read suffers active media errors and drive failures like any
-  // read (hardware beats media). Latent decay damage does not interrupt
-  // it — finding that damage is the point — and is folded in at the
-  // segment boundary instead.
-  std::optional<Seconds> media_at;
-  if (const auto frac =
-          fault_->media_error(tp, seg, system_.cartridge_health(tp),
-                              engine_.now())) {
-    media_at = xfer * *frac;
-  }
-  const Seconds horizon = media_at.has_value() ? *media_at : xfer;
-  if (const auto fail_after =
-          fault_->failure_within(d, engine_.now(), horizon)) {
-    const sim::EventId done = engine_.schedule_in(xfer, std::move(complete));
-    engine_.schedule_in(*fail_after, [this, d, done]() {
-      engine_.cancel(done);
-      on_drive_failure(d);
-    });
-    return;
-  }
-  if (media_at.has_value()) {
-    engine_.schedule_in(*media_at, [this, d]() { scrub_media_error(d); });
-    return;
-  }
-  engine_.schedule_in(xfer, std::move(complete));
 }
 
 void RetrievalSimulator::scrub_media_error(DriveId d) {
@@ -3028,7 +2893,7 @@ void RetrievalSimulator::scrub_media_error(DriveId d) {
   maybe_evacuate(tp);
   // No retry ladder for verification: the error is recorded, the pass
   // aborts, and the cartridge comes due again after the usual interval.
-  end_scrub_pass(d, /*completed=*/false);
+  end_scrub_pass(d, ScrubEnd::kAborted);
 }
 
 void RetrievalSimulator::scrub_segment_done(DriveId d, Bytes seg,
@@ -3054,44 +2919,14 @@ void RetrievalSimulator::scrub_segment_done(DriveId d, Bytes seg,
   if (system_.cartridge_lost(job.tape)) {
     // Verified into oblivion: the accumulated damage pushed the cartridge
     // over the loss threshold. Nothing left to protect here.
-    end_scrub_pass(d, /*completed=*/false);
+    end_scrub_pass(d, ScrubEnd::kAborted);
     return;
   }
   background_pace(d, xfer, config_.scrub.bandwidth_fraction,
                   [this, d]() { scrub_segment(d); });
 }
 
-void RetrievalSimulator::scrub_mount_failure(DriveId d) {
-  DriveCtx& ctx = ctx_[d.index()];
-  TAPESIM_ASSERT(ctx.scrub.has_value());
-  system_.drive(d).fail_load();
-  if (config_.tracer != nullptr) {
-    config_.tracer->marker(obs::Track::kDrive, d.value(),
-                           "mount failure during scrub");
-  }
-  tape::TapeLibrary& lib = system_.library(system_.library_of_drive(d));
-  // The robot returns the unthreadable cartridge; the pass aborts and the
-  // tape stays due (no last_scrub_ update), so a later drive retries it.
-  auto return_done = [this, d, &lib]() {
-    lib.robot().release();
-    ctx_[d.index()].robot_held = false;
-    end_scrub_pass(d, /*completed=*/false);
-  };
-  auto do_return = [this, &lib, return_done]() {
-    const Seconds move = robot_move_delay(lib, lib.robot_move_time());
-    engine_.schedule_in(move, return_done);
-  };
-  if (ctx.robot_held) {
-    do_return();
-  } else {
-    lib.robot().acquire([this, d, do_return]() {
-      ctx_[d.index()].robot_held = true;
-      do_return();
-    });
-  }
-}
-
-void RetrievalSimulator::end_scrub_pass(DriveId d, bool completed) {
+void RetrievalSimulator::end_scrub_pass(DriveId d, ScrubEnd how) {
   DriveCtx& ctx = ctx_[d.index()];
   TAPESIM_ASSERT(ctx.scrub.has_value());
   const ScrubJob job = *ctx.scrub;
@@ -3100,6 +2935,7 @@ void RetrievalSimulator::end_scrub_pass(DriveId d, bool completed) {
   ctx.busy = false;
   scrub_stats_.bytes_verified += job.verified;
   scrub_stats_.latent_found += job.found;
+  const bool completed = how == ScrubEnd::kCompleted;
   if (completed) {
     last_scrub_[job.tape.index()] = engine_.now();
     ++scrub_stats_.passes;
@@ -3110,16 +2946,18 @@ void RetrievalSimulator::end_scrub_pass(DriveId d, bool completed) {
     config_.tracer->record(obs::Span{
         obs::Track::kScrub, job.tape.value(), obs::Phase::kScrub, job.started,
         engine_.now(), RequestId{}, job.tape,
-        completed ? std::string{} : std::string{"aborted"}});
+        completed                        ? std::string{}
+        : how == ScrubEnd::kDriveFailed ? std::string{"aborted: drive failed"}
+                                        : std::string{"aborted"}});
     if (completed) config_.tracer->registry().counter("scrub.passes").inc();
     config_.tracer->registry().counter("scrub.verified_bytes")
         .inc(job.verified);
     config_.tracer->registry().counter("scrub.latent_found").inc(job.found);
   }
   // Foreground first (the pass may have yielded exactly because its tape
-  // was demanded), then further background work.
+  // was demanded), then further background work on a live drive.
   requeue_if_needed(job.tape);
-  release_repair_drive(d);
+  if (how != ScrubEnd::kDriveFailed) release_repair_drive(d);
 }
 
 // --- health-driven evacuation -------------------------------------------
@@ -3471,7 +3309,7 @@ metrics::RequestOutcome RetrievalSimulator::run_request(
     for (const auto& e : extents) bytes += e.size;
     if (const auto holder = system_.drive_holding(tp)) {
       mounted_serving.push_back(*holder);
-    } else if (repair_claimed(tp) || scrub_claimed(tp)) {
+    } else if (claim_holder(tp, kActiveClaim).valid()) {
       // A background job is mounting this tape right now; queueing it too
       // would mount the cartridge twice. The job's release re-dispatches.
     } else {

@@ -271,8 +271,16 @@ class RetrievalSimulator {
   /// in-flight work, robot/disk release, cartridge recovery, redispatch.
   void on_drive_failure(DriveId d);
   void repair_drive(DriveId d);
+  /// Gives idle `d` work once the current dispatch settles: its demanded
+  /// mounted tape first, else the library queue or background work.
+  void redispatch(DriveId d);
   /// Mount-failure retry/backoff ladder, entered at load completion.
   void on_mount_failure(DriveId d, TapeId target);
+  /// The robot carries the cartridge of a failed load on `d` back to its
+  /// cell (taking the arm first unless the load still holds it), frees the
+  /// arm, then runs `done`. Every load-failure path ends here.
+  template <typename Done>
+  void return_to_cell(DriveId d, Done done);
   /// Media-error abort/retry ladder, entered mid-transfer; the failing
   /// extent is chain_[d].extents[chain_[d].index]. `latent` marks a read
   /// running into silent decay damage (observed through the injector's
@@ -425,18 +433,39 @@ class RetrievalSimulator {
   /// Concurrent-job cap: the configured repair cap, raised to the DR cap
   /// while disaster-recovery jobs are outstanding.
   [[nodiscard]] std::uint32_t repair_concurrency_cap() const;
+  /// True when `d` may lend itself to background work (repair or scrub):
+  /// an eligible, idle, available, unquarantined drive with no open
+  /// breaker, holding no demanded tape, in a library without queued
+  /// foreground demand.
+  [[nodiscard]] bool may_start_background(DriveId d);
   /// Starts the first startable queued job on `d`, if `d` is free and its
   /// library has no foreground demand.
   void maybe_start_repair(DriveId d);
   void start_repair(DriveId d, RepairJob job);
-  /// True when another drive is switching to `tp` or repairing with it.
-  [[nodiscard]] bool tape_claimed(TapeId tp, DriveId self) const;
-  /// True when an in-flight repair job is currently using `tp` (the tape
-  /// of its active phase, which may not be mounted yet).
-  [[nodiscard]] bool repair_claimed(TapeId tp) const;
-  /// Restores the foreground queue invariant for `tp` after a repair claim
-  /// drops: a needed tape with no holder, no switch en route, and no
-  /// repair claim must sit in its library queue.
+
+  // --- tape claims ---
+  /// What a drive's context may claim on a tape. A cartridge sits in one
+  /// drive or in its cell, so claims are read off ctx_ on every query and
+  /// kept in no second index.
+  enum ClaimKind : unsigned {
+    /// A foreground switch is fetching the tape (`switch_target`).
+    kSwitchClaim = 1U << 0,
+    /// The active phase of a background job uses the tape: a repair job's
+    /// read source or write target, or the tape a scrub pass verifies.
+    kActiveClaim = 1U << 1,
+    /// The read source of a repair job now in its write phase. The data
+    /// is staged on disk, but background pickers keep off the cartridge
+    /// until the copy lands; foreground demand may take it.
+    kStagedClaim = 1U << 2,
+    kAnyClaim = kSwitchClaim | kActiveClaim | kStagedClaim,
+  };
+  /// The lowest-numbered drive other than `self` holding a claim of one of
+  /// `kinds` on `tp`; invalid when there is none.
+  [[nodiscard]] DriveId claim_holder(TapeId tp, unsigned kinds,
+                                     DriveId self = DriveId{}) const;
+  /// Restores the foreground queue invariant for `tp` after a claim drops:
+  /// a needed tape with no holder, no switch en route, and no active
+  /// background claim must sit in its library queue.
   void requeue_if_needed(TapeId tp);
   /// Best surviving copy of the job's object readable by `d` (same
   /// library, not lost, not mounted elsewhere); nullptr when none.
@@ -446,24 +475,42 @@ class RetrievalSimulator {
   /// anti-affinity permitting); invalid id when none.
   [[nodiscard]] TapeId pick_repair_target(DriveId d,
                                           const RepairJob& job) const;
-  /// Mounts `target` on `d` for a repair job (rewind/unload/robot/load,
-  /// same physics as begin_switch but outside request accounting).
+  /// Mounts `target` on `d` for a repair job or scrub pass (rewind/unload/
+  /// robot/load, same physics as begin_switch but outside request
+  /// accounting).
   void repair_mount(DriveId d, TapeId target, std::function<void()> then);
-  void repair_mount_failure(DriveId d);
-  void scrub_mount_failure(DriveId d);
-  void repair_read(DriveId d);
-  void repair_read_transfer(DriveId d);
+  /// A background mount failed to thread: the scrub pass aborts, or the
+  /// repair job goes back to the queue, once the cartridge is in its cell.
+  void background_mount_failure(DriveId d);
+  /// Positions the head for the repair job's current phase (read source or
+  /// write target), waits for a staging-disk slot, then streams.
+  void repair_locate(DriveId d);
+  void repair_transfer(DriveId d);
+  /// A repair stream ended: frees the disk slot, then paces the drive at
+  /// the job's bandwidth share before closing the phase.
+  void repair_stream_done(DriveId d, Seconds xfer);
   void repair_media_error(DriveId d);
   void finish_repair_read(DriveId d);
-  void repair_write_locate(DriveId d);
-  void repair_write_transfer(DriveId d);
   void complete_repair(DriveId d);
+  /// Full-rate read of `size` bytes of `tp` on `d` (head already in
+  /// place) that media errors and drive failures can interrupt, hardware
+  /// first. Runs `done(xfer)` when the stream completes, or
+  /// `on_error(d)` at the error point.
+  template <typename Done>
+  void background_read(DriveId d, TapeId tp, Bytes size, Done done,
+                       void (RetrievalSimulator::*on_error)(DriveId));
   /// Bandwidth duty cycle shared by every background consumer: idle `d`
   /// after a full-rate transfer of `xfer` so its average background rate is
   /// `fraction` of the native rate.
   void background_pace(DriveId d, Seconds xfer, double fraction,
                        std::function<void()> next);
-  void repair_pace(DriveId d, Seconds xfer, std::function<void()> next);
+  /// Takes the repair job off `d` after a failure and counts the attempt.
+  /// The restarted job re-picks its write target, and its read source
+  /// unless the data is already staged on disk.
+  RepairJob unseat_repair(DriveId d);
+  /// Puts an unseated job at the back of the queue, or abandons it once it
+  /// has used up its attempts. True when it was queued.
+  bool requeue_repair(RepairJob job);
   void abandon_repair(RepairJob job);
   /// Post-repair dispatch: foreground work first, then further repair.
   void release_repair_drive(DriveId d);
@@ -482,16 +529,15 @@ class RetrievalSimulator {
   /// One verification segment: yield check, locate, full-rate read,
   /// latent-damage observation, duty-cycle pacing, repeat.
   void scrub_segment(DriveId d);
-  void scrub_transfer(DriveId d, Bytes seg);
   void scrub_segment_done(DriveId d, Bytes seg, Seconds xfer);
   /// An active (non-latent) media error struck the verify read.
   void scrub_media_error(DriveId d);
   /// True when the pass on `d` should stop at this segment boundary.
   [[nodiscard]] bool scrub_yield_needed(DriveId d) const;
-  /// True when an in-flight scrub pass is using `tp`.
-  [[nodiscard]] bool scrub_claimed(TapeId tp) const;
-  /// Tears down the pass on `d` (stats, span, requeue, redispatch).
-  void end_scrub_pass(DriveId d, bool completed);
+  enum class ScrubEnd { kCompleted, kAborted, kDriveFailed };
+  /// Tears down the pass on `d` (stats, span, requeue, and, unless the
+  /// drive failed, redispatch).
+  void end_scrub_pass(DriveId d, ScrubEnd how);
 
   // --- metadata durability + crash recovery (inert when journal_ null) ---
   /// Admission-boundary reconciliation: observes due crashes on the lazy
@@ -624,8 +670,6 @@ class RetrievalSimulator {
   std::uint32_t repaired_this_request_ = 0;
   std::deque<RepairJob> repair_queue_;
   std::uint32_t active_repairs_ = 0;  ///< Jobs currently holding a drive.
-  /// Tapes with an in-flight repair write (offset exclusivity).
-  std::unordered_set<std::uint32_t> repair_writing_;
   /// Queued + in-flight new copies per object value (over-scheduling guard).
   std::unordered_map<std::uint32_t, std::uint32_t> repair_pending_;
   RepairStats repair_stats_;

@@ -19,7 +19,10 @@
 //
 // A second soak runs a 2-way replicated plan under random fail-slow
 // episodes with the gray-failure detector, quarantine, and hedged reads
-// live, and reconciles the failslow.* ledger exactly.
+// live, and reconciles the failslow.* ledger exactly. A third runs the
+// same replicated plan under library outages, site disasters, media
+// errors and background repair, and reconciles the outage and repair
+// ledgers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -39,7 +42,8 @@ namespace {
 using metrics::RequestStatus;
 
 /// Every cartridge sits in at most one drive and the tape/drive maps
-/// agree (checked at request boundaries by both soaks).
+/// agree, failed drives included (checked at request boundaries by every
+/// soak).
 void check_mount_exclusivity(const sched::RetrievalSimulator& sim,
                              const tape::SystemSpec& spec) {
   const std::uint32_t drives = spec.total_drives();
@@ -55,9 +59,10 @@ void check_mount_exclusivity(const sched::RetrievalSimulator& sim,
   }
   for (std::uint32_t d = 0; d < drives; ++d) {
     const auto& drive = sim.system().drive(DriveId{d});
-    if (!drive.empty() && !drive.failed()) {
+    if (drive.mounted().valid()) {
       const auto holder = sim.system().drive_holding(drive.mounted());
-      ASSERT_TRUE(holder.has_value());
+      ASSERT_TRUE(holder.has_value()) << "drive " << d
+                                      << " holds an unregistered cartridge";
       EXPECT_EQ(holder->value(), d) << "tape/drive maps disagree";
     }
   }
@@ -383,6 +388,126 @@ struct ReplicatedFixture {
     return fixture;
   }
 };
+
+/// Replicated outage posture: transient library outages on every seed,
+/// site disasters on about half of them, media errors and background
+/// repair always live. Failovers, parked extents, repair copies and the
+/// DR surge all interleave with deadline expiries.
+sched::SimulatorConfig replicated_outage_config(Rng& rng,
+                                                obs::Tracer* tracer) {
+  sched::SimulatorConfig cfg;
+  cfg.tracer = tracer;
+  cfg.faults.seed = rng();
+  cfg.faults.outage.library_mtbf = Seconds{rng.uniform(1500.0, 8000.0)};
+  cfg.faults.outage.library_mttr = Seconds{rng.uniform(200.0, 2500.0)};
+  cfg.faults.outage.disaster_fraction = rng.uniform() < 0.5 ? 0.25 : 0.0;
+  cfg.faults.outage.dr_max_concurrent =
+      1 + static_cast<std::uint32_t>(rng.uniform_below(4));
+  cfg.faults.media_error_per_gb = rng.uniform(0.0005, 0.004);
+  cfg.faults.mount_failure_prob = rng.uniform(0.0, 0.03);
+  if (rng.uniform() < 0.5) {
+    cfg.faults.drive_mtbf = Seconds{rng.uniform(3e4, 2e5)};
+    cfg.faults.drive_mttr = Seconds{900.0};
+    cfg.faults.permanent_fraction = 0.1;
+  }
+  cfg.repair.enabled = true;
+  cfg.repair.max_concurrent =
+      1 + static_cast<std::uint32_t>(rng.uniform_below(3));
+  cfg.repair.bandwidth_fraction = rng.uniform(0.3, 1.0);
+  EXPECT_TRUE(cfg.try_validate().ok());
+  return cfg;
+}
+
+class ReplicatedOutageSoak : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(ReplicatedOutageSoak, OutageAndRepairLedgersSurviveRandomSchedules) {
+  const std::uint64_t seed = GetParam();
+  const ReplicatedFixture& fx = ReplicatedFixture::instance();
+  Rng rng{seed * 0x94D049BB133111EBULL + 1};
+
+  obs::Tracer tracer;
+  const sched::SimulatorConfig cfg = replicated_outage_config(rng, &tracer);
+  sched::RetrievalSimulator sim(fx.plan, cfg);
+
+  workload::StormConfig storm;
+  storm.base_rate = 1.0 / 400.0;
+  storm.burst_rate = 1.0 / 40.0;
+  storm.mean_burst_duration = Seconds{1200.0};
+  storm.mean_calm_duration = Seconds{4000.0};
+  storm.batch_fraction = 0.4;
+  const workload::RequestSampler sampler(fx.experiment.workload());
+  const auto arrivals = workload::storm_arrivals(sampler, storm, 100, rng);
+
+  Seconds prev_now{};
+  std::uint64_t parked_extents_sum = 0;
+  std::uint64_t parked_requests_sum = 0;
+  for (const auto& arrival : arrivals) {
+    if (sim.engine().now() < arrival.time) {
+      sim.engine().schedule_at(arrival.time, [] {});
+      sim.engine().run();
+    }
+
+    sched::RequestContext ctx;
+    ctx.priority = arrival.priority;
+    if (rng.uniform() < 0.5) {
+      ctx.deadline = sim.engine().now() + Seconds{rng.uniform(1200.0, 9000.0)};
+    }
+    const auto o = sim.run_request(arrival.request, ctx);
+
+    EXPECT_GE(sim.engine().now().count(), prev_now.count());
+    prev_now = sim.engine().now();
+
+    Bytes expected{};
+    for (const ObjectId obj :
+         fx.experiment.workload().request(arrival.request).objects) {
+      expected += fx.experiment.workload().object_size(obj);
+    }
+    ASSERT_EQ(o.bytes.count(), expected.count());
+    ASSERT_EQ(o.bytes_served().count() + o.bytes_unavailable.count() +
+                  o.bytes_expired.count(),
+              o.bytes.count());
+    parked_extents_sum += o.extents_parked;
+    if (o.extents_parked > 0) ++parked_requests_sum;
+
+    check_mount_exclusivity(sim, fx.config.spec);
+  }
+  sim.drain_repairs();
+  EXPECT_EQ(sim.repair_backlog(), 0u);
+
+  auto& reg = tracer.registry();
+  EXPECT_EQ(reg.counter("sched.requests").value(), arrivals.size());
+  const fault::FaultCounters& fc = sim.fault_injector()->counters();
+  const sched::OutageStats& outage = sim.outage_stats();
+  EXPECT_GT(outage.started, 0u) << "the posture must exercise outages";
+  EXPECT_EQ(reg.counter("outage.started").value(), outage.started);
+  EXPECT_EQ(reg.counter("outage.ended").value(), outage.ended);
+  EXPECT_EQ(reg.counter("outage.disasters").value(), outage.disasters);
+  EXPECT_EQ(reg.counter("outage.failovers").value(), outage.failovers);
+  EXPECT_EQ(reg.counter("outage.requests_parked").value(),
+            outage.requests_parked);
+  EXPECT_EQ(reg.counter("outage.dr_jobs").value(), outage.dr_jobs);
+  EXPECT_EQ(reg.counter("outage.dr_bytes").value(), outage.dr_bytes);
+  EXPECT_EQ(fc.library_outages, outage.started);
+  EXPECT_EQ(fc.library_disasters, outage.disasters);
+  EXPECT_EQ(parked_extents_sum, outage.extents_parked);
+  EXPECT_EQ(parked_requests_sum, outage.requests_parked);
+  EXPECT_LE(outage.ended + outage.disasters, outage.started);
+  if (outage.disasters == 0) {
+    EXPECT_EQ(outage.dr_jobs, 0u);
+  }
+
+  // Repair ledger: after the drain every scheduled copy job completed or
+  // was abandoned, and the registry agrees with the scheduler's totals.
+  const sched::RepairStats& repair = sim.repair_stats();
+  EXPECT_EQ(repair.jobs_scheduled,
+            repair.jobs_completed + repair.jobs_abandoned);
+  EXPECT_EQ(reg.counter("repair.completed").value(), repair.jobs_completed);
+  EXPECT_EQ(reg.counter("repair.copied_bytes").value(), repair.bytes_copied);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReplicatedOutageSoak,
+                         ::testing::Range<std::uint64_t>(1, 21));
 
 /// Fail-slow posture: drive degraded-throughput episodes on every seed,
 /// robot slowdowns on most, the gray-failure detector and hedged reads

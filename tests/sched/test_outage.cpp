@@ -11,17 +11,23 @@
 // loses its resident cartridges, and drives a DR re-replication surge whose
 // completion lands a time-to-full-redundancy sample; (5) the tracer's
 // kOutage lane and outage.* counters reconcile exactly against the
-// scheduler's own running totals (downtime conservation included).
+// scheduler's own running totals (downtime conservation included); (6)
+// two regression scenarios on a replicated paper-default fleet pin the
+// tape/drive bookkeeping under outages.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
 #include "core/plan.hpp"
+#include "core/replication.hpp"
+#include "exp/experiment.hpp"
 #include "metrics/request_metrics.hpp"
 #include "obs/tracer.hpp"
 #include "sched/simulator.hpp"
 #include "tape/system.hpp"
+#include "util/rng.hpp"
+#include "workload/generator.hpp"
 #include "workload/model.hpp"
 
 namespace tapesim::sched {
@@ -313,6 +319,96 @@ TEST(LibraryOutage, DisasterWithoutReplicasLosesResidentBytes) {
   EXPECT_TRUE(saw_unavailable) << "lost data was never requested";
   EXPECT_EQ(sim.outage_stats().extents_parked, 0u)
       << "destroyed-library demand must not park";
+}
+
+/// The paper-default fleet and workload cut to `objects` objects, placed
+/// parallel-batch with a second copy of every object in another library.
+struct ReplicatedPaperScenario {
+  exp::ExperimentConfig config;
+  exp::Experiment experiment;
+  PlacementPlan plan;
+
+  explicit ReplicatedPaperScenario(std::uint32_t objects)
+      : config(make_config(objects)), experiment(config), plan(make_plan()) {}
+
+  static exp::ExperimentConfig make_config(std::uint32_t objects) {
+    exp::ExperimentConfig c;
+    c.workload.num_objects = objects;
+    return c;
+  }
+
+  PlacementPlan make_plan() const {
+    const auto schemes = exp::make_standard_schemes(2);
+    core::PlacementContext context{&experiment.workload(), &config.spec,
+                                   &experiment.clusters()};
+    core::ReplicationPolicy::Params rp;
+    rp.replicas = 2;
+    return core::ReplicationPolicy(*schemes.parallel_batch, rp)
+        .place(context);
+  }
+};
+
+/// Serves `requests` popularity-sampled requests (request stream seed 1),
+/// then drains the repair queue. After every request, bytes must be
+/// conserved and every cartridge in a drive, failed drives included, must
+/// be registered to that drive.
+OutageStats run_replicated(const ReplicatedPaperScenario& s,
+                           const SimulatorConfig& config,
+                           std::uint32_t requests) {
+  RetrievalSimulator sim(s.plan, config);
+  const workload::RequestSampler sampler(s.experiment.workload());
+  Rng rng{1};
+  for (std::uint32_t i = 0; i < requests; ++i) {
+    const auto o = sim.run_request(sampler.sample(rng));
+    EXPECT_EQ(o.bytes_served().count() + o.bytes_unavailable.count() +
+                  o.bytes_expired.count(),
+              o.bytes.count());
+    for (std::uint32_t d = 0; d < s.config.spec.total_drives(); ++d) {
+      const TapeId held = sim.system().drive(DriveId{d}).mounted();
+      if (!held.valid()) continue;
+      const auto holder = sim.system().drive_holding(held);
+      EXPECT_TRUE(holder.has_value() && holder->value() == d)
+          << "drive " << d << " holds tape " << held.value()
+          << " unregistered, after request " << i;
+    }
+  }
+  sim.drain_repairs();
+  return sim.outage_stats();
+}
+
+TEST(LibraryOutage, DriveFailingMidLoadKeepsItsCartridgeRegistered) {
+  // Regression: a drive failing mid-load held a cartridge the tape system
+  // still placed in its cell. With the tape's demand rerouted by the
+  // outage nobody rescued it, and the drive's first unload after its
+  // repair aborted on "tape was not mounted". Config: 10,000 objects,
+  // 2-way, library_mtbf 27,000 s, library_mttr 1,080 s, repair off, fault
+  // seed 1, 400 requests.
+  const ReplicatedPaperScenario s(10'000);
+  SimulatorConfig config;
+  config.faults.seed = 1;
+  config.faults.outage.library_mtbf = Seconds{27000.0};
+  config.faults.outage.library_mttr = Seconds{1080.0};
+  const OutageStats st = run_replicated(s, config, 400);
+  EXPECT_GT(st.started, 0u);
+  EXPECT_GT(st.failovers, 0u);
+}
+
+TEST(LibraryOutage, ExtentParkedBehindFailedHolderWaitsForRestore) {
+  // Regression: parking an extent on a copy held by a failed drive of the
+  // downed library armed no restore watch, so the event loop went idle
+  // and the request aborted on "request finished with unserved objects".
+  // Config: 2,000 objects, 2-way, repair on, library_mtbf 108,000 s,
+  // library_mttr 5,400 s, media_error_per_gb 0.002, fault seed 3, 200
+  // requests.
+  const ReplicatedPaperScenario s(2'000);
+  SimulatorConfig config;
+  config.faults.seed = 3;
+  config.faults.outage.library_mtbf = Seconds{108000.0};
+  config.faults.outage.library_mttr = Seconds{5400.0};
+  config.faults.media_error_per_gb = 0.002;
+  config.repair.enabled = true;
+  const OutageStats st = run_replicated(s, config, 200);
+  EXPECT_GT(st.extents_parked, 0u);
 }
 
 }  // namespace
