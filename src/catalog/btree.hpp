@@ -4,7 +4,8 @@
 // stores object locations as well as other object properties". This is that
 // database's storage engine: a textbook B+-tree with fixed fanout, parent-
 // less recursive insert/erase (split, borrow, merge), a linked leaf level
-// for ordered scans, and a structural validator the property tests run
+// for ordered scans, a node-by-node deep copy (journal checkpoints copy
+// the whole catalog), and a structural validator the property tests run
 // against a std::map oracle.
 //
 // Keys are unique and totally ordered by std::less<Key>. Values are stored
@@ -56,8 +57,18 @@ class BPlusTree {
   BPlusTree() = default;
   ~BPlusTree() { clear(); }
 
-  BPlusTree(const BPlusTree&) = delete;
-  BPlusTree& operator=(const BPlusTree&) = delete;
+  /// Structure-preserving deep copy: clones every node and relinks the
+  /// leaf chain, O(n) with no re-insertion.
+  BPlusTree(const BPlusTree& other) { copy_from(other); }
+  /// Frees this tree's nodes before cloning, so a repeated assignment (a
+  /// journal checkpoint) never holds two full copies at once.
+  BPlusTree& operator=(const BPlusTree& other) {
+    if (this != &other) {
+      clear();
+      copy_from(other);
+    }
+    return *this;
+  }
   BPlusTree(BPlusTree&& other) noexcept { swap(other); }
   BPlusTree& operator=(BPlusTree&& other) noexcept {
     if (this != &other) {
@@ -497,6 +508,34 @@ class BPlusTree {
       parent->children[i] = parent->children[i + 1];
     }
     --parent->count;
+  }
+
+  /// Clones `other` into this (empty) tree.
+  void copy_from(const BPlusTree& other) {
+    LeafNode* prev = nullptr;
+    root_ = clone(other.root_, prev);
+    size_ = other.size_;
+  }
+
+  /// Copies the subtree at `n`; leaves are appended to the chain after
+  /// `prev` in key order (the first one becomes first_leaf_).
+  Node* clone(const Node* n, LeafNode*& prev) {
+    if (n == nullptr) return nullptr;
+    if (n->leaf) {
+      auto* leaf = new LeafNode(*static_cast<const LeafNode*>(n));
+      leaf->next = nullptr;
+      (prev == nullptr ? first_leaf_ : prev->next) = leaf;
+      prev = leaf;
+      return leaf;
+    }
+    const auto* src = static_cast<const InternalNode*>(n);
+    auto* in = new InternalNode();
+    in->count = src->count;
+    in->keys = src->keys;
+    for (std::size_t i = 0; i <= src->count; ++i) {
+      in->children[i] = clone(src->children[i], prev);
+    }
+    return in;
   }
 
   void destroy(Node* n) {

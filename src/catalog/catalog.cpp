@@ -1,6 +1,7 @@
 #include "catalog/catalog.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "util/assert.hpp"
 
@@ -43,13 +44,25 @@ bool ObjectCatalog::insert_replica(const ObjectRecord& record) {
   if (primary == nullptr) return false;
   if (primary->size != record.size) return false;
   if (primary->tape == record.tape) return false;
-  auto it = replicas_.find(record.object.value());
-  if (it != replicas_.end()) {
-    for (const auto& copy : it->second) {
-      if (copy.tape == record.tape) return false;
-    }
+  for (const auto& copy : replicas(record.object)) {
+    if (copy.tape == record.tape) return false;
   }
-  replicas_[record.object.value()].push_back(record);
+  const std::size_t index = record.object.index();
+  if (index >= replica_runs_.size()) replica_runs_.resize(index + 1);
+  ReplicaRun& run = replica_runs_[index];
+  if (run.count == run.capacity) {
+    const std::size_t begin = replica_pool_.size();
+    const std::uint32_t capacity = std::max(1u, 2 * run.capacity);
+    TAPESIM_ASSERT_MSG(begin + capacity <= UINT32_MAX,
+                       "replica pool outgrew its 32-bit index");
+    replica_pool_.resize(begin + capacity);
+    std::copy_n(replica_pool_.data() + run.begin, run.count,
+                replica_pool_.data() + begin);
+    run.begin = static_cast<std::uint32_t>(begin);
+    run.capacity = capacity;
+  }
+  replica_pool_[run.begin + run.count] = record;
+  ++run.count;
   ++replica_total_;
   by_tape_[record.tape.index()].push_back(
       TapeExtent{record.object, record.offset, record.size});
@@ -59,9 +72,9 @@ bool ObjectCatalog::insert_replica(const ObjectRecord& record) {
 }
 
 std::span<const ObjectRecord> ObjectCatalog::replicas(ObjectId id) const {
-  auto it = replicas_.find(id.value());
-  if (it == replicas_.end()) return {};
-  return it->second;
+  if (id.index() >= replica_runs_.size()) return {};
+  const ReplicaRun& run = replica_runs_[id.index()];
+  return {replica_pool_.data() + run.begin, run.count};
 }
 
 std::size_t ObjectCatalog::copy_count(ObjectId id) const {
@@ -146,22 +159,17 @@ bool ObjectCatalog::equals(const ObjectCatalog& other) const {
   if (health_ != other.health_) return false;
   if (retired_ != other.retired_) return false;
   if (by_tape_ != other.by_tape_) return false;
-  bool equal = true;
-  for_each_primary([&](const ObjectRecord& rec) {
-    if (!equal) return;
-    const ObjectRecord* theirs = other.lookup(rec.object);
-    if (theirs == nullptr || !(*theirs == rec)) {
-      equal = false;
-      return;
-    }
-    const std::span<const ObjectRecord> mine = replicas(rec.object);
-    const std::span<const ObjectRecord> peers = other.replicas(rec.object);
-    if (mine.size() != peers.size() ||
-        !std::equal(mine.begin(), mine.end(), peers.begin())) {
-      equal = false;
-    }
-  });
-  return equal;
+  // Equal sizes, so both walks end together; record equality covers keys.
+  auto theirs = other.primary_.begin();
+  for (auto mine = primary_.begin(); mine != primary_.end();
+       ++mine, ++theirs) {
+    const ObjectRecord& rec = mine.value();
+    if (!(rec == theirs.value())) return false;
+    const std::span<const ObjectRecord> a = replicas(rec.object);
+    const std::span<const ObjectRecord> b = other.replicas(rec.object);
+    if (!std::equal(a.begin(), a.end(), b.begin(), b.end())) return false;
+  }
+  return true;
 }
 
 void ObjectCatalog::validate(Bytes tape_capacity) const {
@@ -199,6 +207,19 @@ void ObjectCatalog::validate(Bytes tape_capacity) const {
   }
   TAPESIM_ASSERT_MSG(secondary_total == primary_.size() + replica_total_,
                      "primary/secondary index cardinality mismatch");
+  std::size_t pooled = 0;
+  for (std::size_t i = 0; i < replica_runs_.size(); ++i) {
+    const ReplicaRun& run = replica_runs_[i];
+    TAPESIM_ASSERT_MSG(run.count <= run.capacity &&
+                           run.begin + run.capacity <= replica_pool_.size(),
+                       "replica run outside the pool");
+    TAPESIM_ASSERT_MSG(
+        run.count == 0 ||
+            contains(ObjectId{static_cast<std::uint32_t>(i)}),
+        "replica run of an unplaced object");
+    pooled += run.count;
+  }
+  TAPESIM_ASSERT_MSG(pooled == replica_total_, "replica count drifted");
   primary_.validate();
 }
 

@@ -11,11 +11,14 @@
 // distinct tape). The catalog also tracks per-tape media health, synced
 // from the fault model's cartridge escalations, so the scheduler and the
 // background repair process can ask for the best surviving copy.
+//
+// The catalog is a value: copying it clones the tree node by node and the
+// flat vectors wholesale, with no per-object allocation, so the metadata
+// journal can checkpoint and restore it by plain assignment.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "catalog/btree.hpp"
@@ -79,7 +82,7 @@ class ObjectCatalog {
   }
 
   /// Extra copies of `id` in insertion order (primary excluded); empty when
-  /// the object has none. Invalidated by insert_replica().
+  /// the object has none. Invalidated by any insert_replica().
   [[nodiscard]] std::span<const ObjectRecord> replicas(ObjectId id) const;
   /// Total copies of `id` (primary + replicas); 0 when absent.
   [[nodiscard]] std::size_t copy_count(ObjectId id) const;
@@ -102,7 +105,7 @@ class ObjectCatalog {
   /// tapes in `exclude`, and in libraries in `exclude_libraries` (downed
   /// fault domains) are skipped; Good health beats Degraded, and the
   /// primary wins ties (then replica insertion order). nullptr when no copy
-  /// survives. The pointer is invalidated by the next insert of `id`.
+  /// survives. The pointer is invalidated by the next insert.
   [[nodiscard]] const ObjectRecord* best_replica(
       ObjectId id, std::span<const TapeId> exclude = {},
       std::span<const LibraryId> exclude_libraries = {}) const;
@@ -119,7 +122,7 @@ class ObjectCatalog {
   }
 
   /// Visits every primary record in ascending object-id order (B+-tree
-  /// iteration); snapshot capture and state comparison walk this.
+  /// iteration).
   template <typename Visitor>
   void for_each_primary(Visitor&& visit) const {
     for (const auto& [key, rec] : primary_) visit(rec);
@@ -129,22 +132,36 @@ class ObjectCatalog {
   /// (insertion order included — best_replica tie-breaks on it), per-tape
   /// extents and usage, health, and retirements. The crash-recovery
   /// invariant ("replayed catalog exactly equals the never-crashed
-  /// catalog") is asserted through this.
+  /// catalog") is asserted through this. Walks both primary trees in
+  /// lockstep: O(n), no per-record lookup.
   [[nodiscard]] bool equals(const ObjectCatalog& other) const;
 
   /// Verifies global consistency: extents sorted, non-overlapping, within
-  /// `tape_capacity`; primary and secondary agree. Aborts on violation.
+  /// `tape_capacity`; primary and secondary agree; every replica run lies
+  /// inside the pool and belongs to a placed object. Aborts on violation.
   void validate(Bytes tape_capacity) const;
 
  private:
+  /// One object's extra copies: `count` records of `replica_pool_` from
+  /// `begin`, in insertion order, with room for `capacity`.
+  struct ReplicaRun {
+    std::uint32_t begin = 0;
+    std::uint32_t count = 0;
+    std::uint32_t capacity = 0;
+  };
+
   /// Keeps a tape's extent list sorted after an insertion at the back.
   void restore_order(TapeId tape);
 
   BPlusTree<std::uint32_t, ObjectRecord, 64> primary_;
   std::vector<std::vector<TapeExtent>> by_tape_;
   std::vector<Bytes> used_;
-  /// Extra copies keyed by object id value; absent for unreplicated objects.
-  std::unordered_map<std::uint32_t, std::vector<ObjectRecord>> replicas_;
+  /// Extra copies of every object, one run per object. A full run moves to
+  /// the end with doubled capacity; its old slots stay behind unused.
+  std::vector<ObjectRecord> replica_pool_;
+  /// Indexed by object index (object ids are dense, as the workload and the
+  /// placement plan number them); sized to the highest replicated object.
+  std::vector<ReplicaRun> replica_runs_;
   std::size_t replica_total_ = 0;
   std::vector<ReplicaHealth> health_;  ///< by tape index
   std::vector<bool> retired_;          ///< by tape index

@@ -70,12 +70,10 @@ Status JournalConfig::try_validate() const {
 }
 
 Journal::Journal(const JournalConfig& config, std::uint32_t total_tapes)
-    : config_(config), total_tapes_(total_tapes) {
+    : config_(config), snapshot_(total_tapes) {
   TAPESIM_ASSERT_MSG(config_.enabled, "journal built while disabled");
   TAPESIM_ASSERT_MSG(config_.try_validate().ok(),
                      "journal config must validate");
-  snapshot_.health.assign(total_tapes_, ReplicaHealth::kGood);
-  snapshot_.retired.assign(total_tapes_, false);
 }
 
 void Journal::log_insert(const ObjectRecord& rec, Seconds now) {
@@ -181,28 +179,14 @@ void Journal::rebuild_group_state() {
 
 bool Journal::checkpoint_due(Seconds now) const {
   if (config_.checkpoint_interval.count() <= 0.0) return false;
-  return now >= snapshot_.taken_at + config_.checkpoint_interval;
+  return now >= snapshot_at_ + config_.checkpoint_interval;
 }
 
 void Journal::checkpoint(const ObjectCatalog& catalog, Seconds now) {
   sync_barrier(now);
-  snapshot_.lsn = next_lsn_ - 1;
-  snapshot_.taken_at = now;
-  snapshot_.primaries.clear();
-  snapshot_.replicas.clear();
-  snapshot_.primaries.reserve(catalog.object_count());
-  catalog.for_each_primary([&](const ObjectRecord& rec) {
-    snapshot_.primaries.push_back(rec);
-    for (const ObjectRecord& copy : catalog.replicas(rec.object)) {
-      snapshot_.replicas.push_back(copy);
-    }
-  });
-  snapshot_.health.resize(catalog.tape_count());
-  snapshot_.retired.resize(catalog.tape_count());
-  for (std::uint32_t t = 0; t < catalog.tape_count(); ++t) {
-    snapshot_.health[t] = catalog.tape_health(TapeId{t});
-    snapshot_.retired[t] = catalog.tape_retired(TapeId{t});
-  }
+  snapshot_ = catalog;
+  snapshot_lsn_ = next_lsn_ - 1;
+  snapshot_at_ = now;
   stats_.records_truncated += log_.size();
   log_.clear();
   batch_count_ = 0;
@@ -240,28 +224,22 @@ Journal::CrashCut Journal::crash_cut(Seconds at, double torn_draw) {
   return CrashCut{log_.size(), lost_.size()};
 }
 
-ObjectCatalog Journal::replay() {
-  ObjectCatalog c(total_tapes_);
-  for (const ObjectRecord& p : snapshot_.primaries) {
-    const bool ok = c.insert(p);
-    TAPESIM_ASSERT_MSG(ok, "snapshot primary failed to re-insert");
-  }
-  for (const ObjectRecord& r : snapshot_.replicas) {
-    const bool ok = c.insert_replica(r);
-    TAPESIM_ASSERT_MSG(ok, "snapshot replica failed to re-insert");
-  }
-  for (std::uint32_t t = 0; t < snapshot_.health.size(); ++t) {
-    if (snapshot_.health[t] != ReplicaHealth::kGood) {
-      c.set_tape_health(TapeId{t}, snapshot_.health[t]);
-    }
-    if (snapshot_.retired[t]) c.retire_tape(TapeId{t});
-  }
-  std::uint64_t last_lsn = snapshot_.lsn;
-  for (const JournalRecord& rec : log_) {
+ObjectCatalog Journal::replay(std::span<const JournalRecord> reconciled) {
+  ObjectCatalog c = snapshot_;
+  std::uint64_t last_lsn = snapshot_lsn_;
+  auto apply_next = [&](const JournalRecord& rec) {
     TAPESIM_ASSERT_MSG(rec.lsn > last_lsn, "replay saw a non-monotone LSN");
     last_lsn = rec.lsn;
     apply(c, rec);
+  };
+  std::size_t r = 0;
+  for (const JournalRecord& rec : log_) {
+    while (r < reconciled.size() && reconciled[r].lsn < rec.lsn) {
+      apply_next(reconciled[r++]);
+    }
+    apply_next(rec);
   }
+  while (r < reconciled.size()) apply_next(reconciled[r++]);
   stats_.records_replayed += log_.size();
   return c;
 }

@@ -11,8 +11,9 @@
 //   * kAsync: appends are acknowledged immediately and written back a
 //     fixed delay later.
 //
-// Periodic checkpoints capture a logical snapshot of the full catalog and
-// truncate the log prefix the snapshot covers, bounding replay length.
+// Periodic checkpoints copy the full catalog into a snapshot (a value,
+// never an alias of the live catalog) and truncate the log prefix the
+// snapshot covers, bounding replay length.
 //
 // The journal is a *passive* ledger: it never touches the engine, never
 // blocks the mutation it records, and consumes no RNG draws — durability
@@ -23,8 +24,9 @@
 // torn tail — a uniform draw (supplied by the fault injector's crash
 // substream) picks how many of them physically landed before the power
 // went; the rest are lost and surface through take_lost() for
-// reconciliation against tape reality. replay() then rebuilds a catalog
-// from snapshot + surviving log, idempotently.
+// reconciliation against tape reality. replay() then copies the snapshot
+// and applies the surviving log (merged by LSN with any reconciled lost
+// records) idempotently.
 #pragma once
 
 #include <cstdint>
@@ -110,8 +112,8 @@ struct JournalStats {
 
 class Journal {
  public:
-  /// `config` must validate and be enabled; `total_tapes` sizes rebuilt
-  /// catalogs (global tape id space).
+  /// `config` must validate and be enabled; `total_tapes` sizes the empty
+  /// initial snapshot (global tape id space).
   Journal(const JournalConfig& config, std::uint32_t total_tapes);
 
   [[nodiscard]] const JournalConfig& config() const { return config_; }
@@ -127,11 +129,11 @@ class Journal {
   /// True when `now` is at least one checkpoint interval past the last
   /// snapshot (never true with a zero interval).
   [[nodiscard]] bool checkpoint_due(Seconds now) const;
-  /// Syncs every pending record, captures a logical snapshot of `catalog`,
-  /// and truncates the log the snapshot covers.
+  /// Syncs every pending record, copies `catalog` into the snapshot, and
+  /// truncates the log the snapshot covers.
   void checkpoint(const ObjectCatalog& catalog, Seconds now);
-  [[nodiscard]] Seconds snapshot_at() const { return snapshot_.taken_at; }
-  [[nodiscard]] std::uint64_t snapshot_lsn() const { return snapshot_.lsn; }
+  [[nodiscard]] Seconds snapshot_at() const { return snapshot_at_; }
+  [[nodiscard]] std::uint64_t snapshot_lsn() const { return snapshot_lsn_; }
 
   // --- crash + recovery ---
   struct CrashCut {
@@ -144,14 +146,17 @@ class Journal {
   /// move to the lost ledger. Records appended after `at` (mutations the
   /// recovered server performed) are untouched.
   CrashCut crash_cut(Seconds at, double torn_draw);
-  /// Rebuilds a catalog from the snapshot plus every surviving log
-  /// record, applied idempotently in LSN order.
-  [[nodiscard]] ObjectCatalog replay();
+  /// Copies the snapshot and applies every surviving log record, merged
+  /// in LSN order with `reconciled` (lost records re-derived from tape
+  /// reality, ascending LSN), idempotently. The merge matters: a lost
+  /// replica insert re-applied after a later surviving insert of the same
+  /// object would reverse its replica order.
+  [[nodiscard]] ObjectCatalog replay(
+      std::span<const JournalRecord> reconciled = {});
   /// The lost mutations of the latest cut, for reconciliation against
   /// tape reality; counts them reconciled and clears the ledger.
   [[nodiscard]] std::vector<JournalRecord> take_lost();
-  /// Applies one record to `c` idempotently (replay and the owner's
-  /// reconciliation pass share this).
+  /// Applies one record to `c` idempotently.
   static void apply(ObjectCatalog& c, const JournalRecord& rec);
 
   /// Records currently in the live log (appended, not truncated or lost).
@@ -161,18 +166,6 @@ class Journal {
   }
 
  private:
-  /// Logical image of the full catalog state as of one LSN.
-  struct CatalogImage {
-    std::uint64_t lsn = 0;
-    Seconds taken_at{};
-    std::vector<ObjectRecord> primaries;  ///< Ascending object id.
-    /// Grouped by primary order, preserving per-object insertion order
-    /// (best_replica tie-breaks on it).
-    std::vector<ObjectRecord> replicas;
-    std::vector<ReplicaHealth> health;  ///< By tape index.
-    std::vector<bool> retired;          ///< By tape index.
-  };
-
   void append(JournalRecord rec, Seconds now);
   /// Group commit: resolves the open batch if its window closed by `now`.
   void flush_group_window(Seconds now);
@@ -185,11 +178,12 @@ class Journal {
 
   JournalConfig config_;
   JournalStats stats_;
-  std::uint32_t total_tapes_ = 0;
   std::uint64_t next_lsn_ = 1;
   std::vector<JournalRecord> log_;  ///< Records after the last checkpoint.
   std::vector<JournalRecord> lost_;
-  CatalogImage snapshot_;
+  ObjectCatalog snapshot_;  ///< The catalog as of snapshot_lsn_.
+  std::uint64_t snapshot_lsn_ = 0;
+  Seconds snapshot_at_{};
   // Group-commit open batch: the last `batch_count_` log records, pending
   // since `batch_open_at_`.
   std::uint32_t batch_count_ = 0;

@@ -3073,24 +3073,23 @@ void RetrievalSimulator::recover_from_crash(Seconds at, double torn) {
   // timelines match draw-for-draw).
   const catalog::Journal::CrashCut cut =
       journal_->crash_cut(at, config_.faults.crash.torn_tail ? torn : 1.0);
-  catalog::ObjectCatalog recovered = journal_->replay();
+  // Reconciliation against tape reality: a lost mutation's payload is
+  // re-derivable from the physical world — repair-written replica bytes sit
+  // on their target cartridge (label + extent scan), health and retirement
+  // re-surface from cartridge state — at a scrub-like per-record cost.
+  // Replay re-applies the lost records at their place in LSN order, which
+  // models that rediscovery. The recovered catalog is only compared, so it
+  // is dropped before the checkpoint below copies the live one.
+  const std::vector<catalog::JournalRecord> lost = journal_->take_lost();
+  const bool converged = journal_->replay(lost).equals(catalog_);
   if (config_.journal.fsync == catalog::FsyncPolicy::kSync) {
     // Synchronous fsync never loses an acknowledged mutation: the replayed
-    // catalog must equal the live one before any reconciliation.
+    // catalog equals the live one with nothing to reconcile.
     TAPESIM_ASSERT_MSG(cut.lost == 0, "synchronous fsync lost a mutation");
-    TAPESIM_ASSERT_MSG(recovered.equals(catalog_),
+    TAPESIM_ASSERT_MSG(converged,
                        "sync-fsync replay diverged from the live catalog");
   }
-  const std::vector<catalog::JournalRecord> lost = journal_->take_lost();
-  for (const catalog::JournalRecord& rec : lost) {
-    // Reconciliation against tape reality: a lost mutation's payload is
-    // re-derivable from the physical world — repair-written replica bytes
-    // sit on their target cartridge (label + extent scan), health and
-    // retirement re-surface from cartridge state — at a scrub-like
-    // per-record cost. Re-applying the record models that rediscovery.
-    catalog::Journal::apply(recovered, rec);
-  }
-  TAPESIM_ASSERT_MSG(recovered.equals(catalog_),
+  TAPESIM_ASSERT_MSG(converged,
                      "crash recovery failed to converge on the live catalog");
   recovery_stats_.records_replayed += cut.survivors;
   recovery_stats_.lost_mutations += cut.lost;

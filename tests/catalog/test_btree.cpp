@@ -283,6 +283,133 @@ TEST(BPlusTree, IterationUnderInterleavedInsertAndErase) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Copies: structure-preserving clone with a relinked leaf chain.
+
+/// The leaf-chain walk of `t` yields exactly the oracle's entries in order.
+template <typename Tree>
+void expect_same_entries(const Tree& t, const std::map<int, int>& oracle) {
+  ASSERT_EQ(t.size(), oracle.size());
+  auto it = t.begin();
+  for (const auto& [k, v] : oracle) {
+    ASSERT_NE(it, t.end());
+    EXPECT_EQ(it.key(), k);
+    EXPECT_EQ(it.value(), v);
+    ++it;
+  }
+  EXPECT_EQ(it, t.end());
+}
+
+TEST(BPlusTree, CopyMatchesTheOracleAfterRandomChurn) {
+  // Churn leaves under-full leaves, borrowed separators and merged inner
+  // nodes behind; the copy must reproduce that shape, not just the keys.
+  BPlusTree<int, int, 4> t;
+  std::map<int, int> oracle;
+  tapesim::Rng rng{17};
+  for (int step = 0; step < 4000; ++step) {
+    const int k = static_cast<int>(rng.uniform_below(800));
+    if (rng.uniform() < 0.6) {
+      EXPECT_EQ(t.insert(k, step), oracle.emplace(k, step).second);
+    } else {
+      EXPECT_EQ(t.erase(k), oracle.erase(k) > 0);
+    }
+  }
+  ASSERT_FALSE(oracle.empty());
+  const BPlusTree<int, int, 4> copy(t);
+  copy.validate();
+  expect_same_entries(copy, oracle);
+  for (int k = 0; k < 800; k += 7) {
+    const auto expect = oracle.find(k);
+    const int* got = copy.find(k);
+    if (expect == oracle.end()) {
+      EXPECT_EQ(got, nullptr);
+    } else {
+      ASSERT_NE(got, nullptr);
+      EXPECT_EQ(*got, expect->second);
+    }
+    const auto lb = oracle.lower_bound(k);
+    if (lb == oracle.end()) {
+      EXPECT_EQ(copy.lower_bound(k), copy.end());
+    } else {
+      EXPECT_EQ(copy.lower_bound(k).key(), lb->first);
+    }
+  }
+  // Copy-assignment over a populated tree replaces its contents.
+  BPlusTree<int, int, 4> assigned;
+  for (int i = 1000; i < 1300; ++i) ASSERT_TRUE(assigned.insert(i, i));
+  assigned = t;
+  assigned.validate();
+  expect_same_entries(assigned, oracle);
+}
+
+TEST(BPlusTree, CopyIsIndependentOfItsOriginal) {
+  BPlusTree<int, int, 4> a;
+  std::map<int, int> a_oracle;
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(a.insert(i, i));
+    a_oracle.emplace(i, i);
+  }
+  BPlusTree<int, int, 4> b(a);
+  std::map<int, int> b_oracle = a_oracle;
+  // Mutating the copy leaves the original untouched...
+  for (int i = 0; i < 300; i += 3) {
+    ASSERT_TRUE(b.erase(i));
+    b_oracle.erase(i);
+  }
+  for (int i = 300; i < 400; ++i) {
+    ASSERT_TRUE(b.insert(i, -i));
+    b_oracle.emplace(i, -i);
+  }
+  *b.find(1) = 1000;
+  b_oracle[1] = 1000;
+  a.validate();
+  expect_same_entries(a, a_oracle);
+  // ...and mutating the original leaves the copy untouched.
+  for (int i = 0; i < 150; ++i) {
+    ASSERT_TRUE(a.erase(i));
+    a_oracle.erase(i);
+  }
+  a.clear();
+  b.validate();
+  expect_same_entries(b, b_oracle);
+  // The same holds for a copy made by assignment.
+  BPlusTree<int, int, 4> c;
+  c = b;
+  ASSERT_TRUE(c.erase(2));
+  EXPECT_TRUE(b.contains(2));
+  b.clear();
+  c.validate();
+  EXPECT_EQ(c.size(), b_oracle.size() - 1);
+}
+
+TEST(BPlusTree, SelfAssignmentKeepsTheTree) {
+  BPlusTree<int, int, 4> t;
+  std::map<int, int> oracle;
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(t.insert(i * 5, i));
+    oracle.emplace(i * 5, i);
+  }
+  const BPlusTree<int, int, 4>& alias = t;
+  t = alias;
+  t.validate();
+  expect_same_entries(t, oracle);
+}
+
+TEST(BPlusTree, CopyOfAnEmptyTreeIsEmpty) {
+  const BPlusTree<int, int, 4> empty;
+  BPlusTree<int, int, 4> copy(empty);
+  EXPECT_TRUE(copy.empty());
+  EXPECT_EQ(copy.begin(), copy.end());
+  copy.validate();
+  ASSERT_TRUE(copy.insert(3, 30));
+  copy.validate();
+  EXPECT_TRUE(empty.empty());
+  // Assigning an empty tree empties the target.
+  copy = empty;
+  EXPECT_TRUE(copy.empty());
+  copy.validate();
+}
+
 /// Randomized differential test against std::map across fanouts and seeds.
 class BTreeOracle
     : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
@@ -324,6 +451,17 @@ void run_oracle(std::uint64_t seed) {
     ++it;
   }
   EXPECT_EQ(it, tree.end());
+  // A copy of the churned tree is structurally valid and chains every entry.
+  const BPlusTree<std::uint32_t, std::uint64_t, Fanout> copy(tree);
+  copy.validate();
+  auto cit = copy.begin();
+  for (const auto& [k, v] : oracle) {
+    ASSERT_NE(cit, copy.end());
+    EXPECT_EQ(cit.key(), k);
+    EXPECT_EQ(cit.value(), v);
+    ++cit;
+  }
+  EXPECT_EQ(cit, copy.end());
 }
 
 TEST_P(BTreeOracle, MatchesStdMap) {

@@ -123,6 +123,79 @@ TEST(Catalog, EqualsSeesFieldLevelDivergence) {
   EXPECT_FALSE(a.equals(b));
 }
 
+TEST(Catalog, EqualsRejectsSameSizeWithDifferentObjectIds) {
+  // Equal counts, tapes, offsets and usage; only the object ids differ, so
+  // the per-tape extent lists differ too (and so would a lockstep walk).
+  ObjectCatalog a(240);
+  ObjectCatalog b(240);
+  a.insert(record(1, 1_GB, 0, Bytes{0}));
+  a.insert(record(2, 1_GB, 1, Bytes{0}));
+  b.insert(record(1, 1_GB, 0, Bytes{0}));
+  b.insert(record(3, 1_GB, 1, Bytes{0}));
+  EXPECT_FALSE(a.equals(b));
+  EXPECT_FALSE(b.equals(a));
+}
+
+TEST(Catalog, EqualsRejectsTheSameReplicasInADifferentOrder) {
+  // best_replica tie-breaks on replica insertion order, so two catalogs
+  // holding the same copies in a different order are different states.
+  ObjectCatalog a(240);
+  ObjectCatalog b(240);
+  a.insert(record(1, 1_GB, 0, Bytes{0}));
+  b.insert(record(1, 1_GB, 0, Bytes{0}));
+  a.insert_replica(record(1, 1_GB, 5, Bytes{0}));
+  a.insert_replica(record(1, 1_GB, 9, Bytes{0}));
+  b.insert_replica(record(1, 1_GB, 9, Bytes{0}));
+  b.insert_replica(record(1, 1_GB, 5, Bytes{0}));
+  EXPECT_FALSE(a.equals(b));
+  EXPECT_FALSE(b.equals(a));
+}
+
+TEST(Catalog, CopyIsAnIndependentValue) {
+  ObjectCatalog a(240);
+  // Five 1 GB objects per tape, back to back.
+  const auto offset = [](std::uint32_t i) {
+    return Bytes{(i / 40) * (1_GB).count()};
+  };
+  for (std::uint32_t i = 0; i < 200; ++i) {
+    ASSERT_TRUE(a.insert(record(i, 1_GB, i % 40, offset(i))));
+  }
+  for (std::uint32_t i = 0; i < 200; i += 2) {
+    ASSERT_TRUE(a.insert_replica(record(i, 1_GB, 100 + i % 40, offset(i))));
+  }
+  a.set_tape_health(TapeId{3}, ReplicaHealth::kDegraded);
+  ObjectCatalog b = a;
+  EXPECT_TRUE(b.equals(a));
+  b.validate(400_GB);
+  // Mutating the copy (primaries, replica runs, health, retirement) leaves
+  // the original as it was...
+  const ObjectCatalog before = a;
+  ASSERT_TRUE(b.insert(record(500, 1_GB, 200, Bytes{0})));
+  ASSERT_TRUE(b.insert_replica(record(0, 1_GB, 201, Bytes{0})));
+  ASSERT_TRUE(b.insert_replica(record(1, 1_GB, 202, Bytes{0})));
+  b.set_tape_health(TapeId{4}, ReplicaHealth::kLost);
+  b.retire_tape(TapeId{5});
+  EXPECT_FALSE(b.equals(a));
+  EXPECT_TRUE(a.equals(before));
+  EXPECT_EQ(a.copy_count(ObjectId{0}), 2u);
+  EXPECT_FALSE(a.contains(ObjectId{500}));
+  a.validate(400_GB);
+  // ...and mutating the original leaves the copy as it was.
+  const ObjectCatalog b_before = b;
+  ASSERT_TRUE(a.insert_replica(record(3, 1_GB, 203, Bytes{0})));
+  a.retire_tape(TapeId{6});
+  EXPECT_TRUE(b.equals(b_before));
+  EXPECT_EQ(b.copy_count(ObjectId{3}), 1u);
+  EXPECT_EQ(b.copy_count(ObjectId{0}), 3u);
+  b.validate(400_GB);
+  // Copy-assignment over a populated catalog replaces its whole state.
+  ObjectCatalog c(240);
+  ASSERT_TRUE(c.insert(record(7777, 1_GB, 9, Bytes{0})));
+  c = b;
+  EXPECT_TRUE(c.equals(b));
+  EXPECT_FALSE(c.contains(ObjectId{7777}));
+}
+
 TEST(Catalog, ForEachPrimaryVisitsInAscendingIdOrder) {
   ObjectCatalog cat(240);
   cat.insert(record(30, 1_GB, 0, Bytes{0}));

@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <string>
+#include <vector>
 
 namespace tapesim::catalog {
 namespace {
@@ -386,6 +387,62 @@ TEST(Journal, ReplayAfterCrashCutSkipsTheLostTail) {
     Journal::apply(rebuilt, lost);
   }
   EXPECT_TRUE(rebuilt.equals(cat));
+}
+
+TEST(Journal, ReconciledRecordsReplayAtTheirLsnPlace) {
+  // A lost replica insert (before the crash instant) and a surviving
+  // replica insert of the same object (logged after the crash instant, by
+  // the recovered server) straddle the cut. Re-applying the lost record
+  // after the surviving log would reverse the object's replica order.
+  JournalConfig cfg = enabled_config(FsyncPolicy::kGroupCommit);
+  cfg.group_window = Seconds{100.0};
+  Journal j(cfg, 240);
+  ObjectCatalog cat(240);
+  ASSERT_TRUE(cat.insert(record(1, 0, Bytes{0})));
+  j.checkpoint(cat, Seconds{0.5});
+  const ObjectRecord before = record(1, 170, Bytes{0});
+  const ObjectRecord after = record(1, 173, Bytes{0});
+  ASSERT_TRUE(cat.insert_replica(before));
+  j.log_insert_replica(before, Seconds{1.0});
+  ASSERT_TRUE(cat.insert_replica(after));
+  j.log_insert_replica(after, Seconds{3.0});
+  const auto cut = j.crash_cut(Seconds{2.0}, /*torn_draw=*/0.0);
+  ASSERT_EQ(cut.lost, 1u);
+  ASSERT_EQ(cut.survivors, 1u);
+  const std::vector<JournalRecord> lost = j.take_lost();
+  ASSERT_EQ(lost.size(), 1u);
+  ASSERT_LT(lost[0].lsn, j.records()[0].lsn);
+
+  ObjectCatalog appended = j.replay();
+  Journal::apply(appended, lost[0]);
+  EXPECT_EQ(appended.replicas(ObjectId{1})[0], after);
+  EXPECT_FALSE(appended.equals(cat));
+
+  const ObjectCatalog merged = j.replay(lost);
+  ASSERT_EQ(merged.replicas(ObjectId{1}).size(), 2u);
+  EXPECT_EQ(merged.replicas(ObjectId{1})[0], before);
+  EXPECT_EQ(merged.replicas(ObjectId{1})[1], after);
+  EXPECT_TRUE(merged.equals(cat));
+}
+
+TEST(Journal, SnapshotIsACopyNotAnAlias) {
+  Journal j(enabled_config(), 240);
+  ObjectCatalog cat(240);
+  ASSERT_TRUE(cat.insert(record(1, 0, Bytes{0})));
+  j.checkpoint(cat, Seconds{1.0});
+  // Mutations the journal never saw stay out of the snapshot.
+  ASSERT_TRUE(cat.insert(record(2, 1, Bytes{0})));
+  ASSERT_TRUE(cat.insert_replica(record(1, 5, Bytes{0})));
+  cat.retire_tape(TapeId{5});
+  const ObjectCatalog rebuilt = j.replay();
+  EXPECT_EQ(rebuilt.object_count(), 1u);
+  EXPECT_EQ(rebuilt.copy_count(ObjectId{1}), 1u);
+  EXPECT_FALSE(rebuilt.tape_retired(TapeId{5}));
+  // And a replayed catalog is its own value: mutating it leaves the next
+  // replay unchanged.
+  ObjectCatalog scratch = j.replay();
+  ASSERT_TRUE(scratch.insert(record(3, 2, Bytes{0})));
+  EXPECT_TRUE(j.replay().equals(rebuilt));
 }
 
 // ---------------------------------------------------------------------------

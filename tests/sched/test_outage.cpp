@@ -20,8 +20,6 @@
 #include <vector>
 
 #include "core/plan.hpp"
-#include "core/replication.hpp"
-#include "exp/experiment.hpp"
 #include "metrics/request_metrics.hpp"
 #include "obs/tracer.hpp"
 #include "sched/simulator.hpp"
@@ -29,6 +27,8 @@
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
 #include "workload/model.hpp"
+
+#include "replicated_scenario.hpp"
 
 namespace tapesim::sched {
 namespace {
@@ -320,33 +320,6 @@ TEST(LibraryOutage, DisasterWithoutReplicasLosesResidentBytes) {
   EXPECT_EQ(sim.outage_stats().extents_parked, 0u)
       << "destroyed-library demand must not park";
 }
-
-/// The paper-default fleet and workload cut to `objects` objects, placed
-/// parallel-batch with a second copy of every object in another library.
-struct ReplicatedPaperScenario {
-  exp::ExperimentConfig config;
-  exp::Experiment experiment;
-  PlacementPlan plan;
-
-  explicit ReplicatedPaperScenario(std::uint32_t objects)
-      : config(make_config(objects)), experiment(config), plan(make_plan()) {}
-
-  static exp::ExperimentConfig make_config(std::uint32_t objects) {
-    exp::ExperimentConfig c;
-    c.workload.num_objects = objects;
-    return c;
-  }
-
-  PlacementPlan make_plan() const {
-    const auto schemes = exp::make_standard_schemes(2);
-    core::PlacementContext context{&experiment.workload(), &config.spec,
-                                   &experiment.clusters()};
-    core::ReplicationPolicy::Params rp;
-    rp.replicas = 2;
-    return core::ReplicationPolicy(*schemes.parallel_batch, rp)
-        .place(context);
-  }
-};
 
 /// Serves `requests` popularity-sampled requests (request stream seed 1),
 /// then drains the repair queue. After every request, bytes must be
